@@ -17,7 +17,7 @@ import numpy as np
 
 from ._rng import substream
 from .errors import NotPSDError, NumericalFailureError, OutOfDomainError
-from .kernel import BifParams, TimeGrid, cov
+from .kernel import BifParams, TimeGrid, cov_matrix
 
 __all__ = [
     "CovMatrix",
@@ -78,17 +78,9 @@ class PathBatch:
 
 
 def build_cov_matrix(p: BifParams, grid: TimeGrid) -> CovMatrix:
-    """Matrix of cov(p, t_i, t_j); exactly symmetric because the scalar
-    kernel orders its arguments."""
-    n = len(grid)
-    entries = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        ti = grid[i]
-        for j in range(i, n):
-            v = cov(p, ti, grid[j])
-            entries[i, j] = v
-            entries[j, i] = v
-    return CovMatrix(params=p, grid=grid, entries=entries)
+    """Matrix of cov(p, t_i, t_j), exactly symmetric and equal to the
+    scalar kernel bit for bit (see :func:`bifrac.kernel.cov_matrix`)."""
+    return CovMatrix(params=p, grid=grid, entries=cov_matrix(p, grid.points))
 
 
 def check_psd(m: CovMatrix, tol: float = 1e-8) -> PsdVerdict:

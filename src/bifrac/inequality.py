@@ -9,6 +9,9 @@ independent routes.
                kernel, so it is a sum of kernel evaluations
 * mc        -- paired Monte Carlo estimate for arbitrary samplers
 
+The exact, tail and variance double sums all go through expect_pair
+(numpy pair blocks summed by one correctly rounded math.fsum).
+
 For alpha in (0, 2] the gap is nonnegative; the exact and variance routes
 assert this up to a floating tolerance and raise InequalityViolationError
 if it fails, since that indicates a defect rather than mathematics.
@@ -17,6 +20,7 @@ if it fails, since that indicates a defect rather than mathematics.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -24,14 +28,13 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rng import substream
-from .dists import DiscreteDist, Sampler, expect_pair, neumaier_sum, tail_functional
+from .dists import DiscreteDist, Sampler, expect_pair, tail_functional
 from .errors import (
     InequalityViolationError,
     InsufficientSamplesError,
-    NonFiniteError,
     OutOfDomainError,
 )
-from .kernel import cov, sgn, validate_params
+from .kernel import cov_matrix, validate_params
 
 __all__ = [
     "GapReport",
@@ -101,35 +104,13 @@ def gap_exact(d: DiscreteDist, alpha: float) -> GapReport:
     """Exact gap by the double sum over atom pairs.
 
     alpha may exceed 2 (the violation search reuses this engine); the
-    nonnegativity assertion applies only for alpha in (0, 2].
+    nonnegativity assertion applies only for alpha in (0, 2].  Raises
+    NonFiniteError if |x_i +- x_j|**alpha overflows.
     """
     if not alpha > 0:
         raise OutOfDomainError("alpha > 0")
-    sp = cp = sm = cm = 0.0
-    atoms = d.atoms
-    for xi, pi in atoms:
-        for xj, pj in atoms:
-            w = pi * pj
-            ap = abs(xi + xj) ** alpha
-            am = abs(xi - xj) ** alpha
-            if math.isinf(ap) or math.isinf(am):
-                raise NonFiniteError(f"|x|**alpha overflowed at ({xi}, {xj}), alpha={alpha}")
-            v = w * ap
-            t = sp + v
-            if abs(sp) >= abs(v):
-                cp += (sp - t) + v
-            else:
-                cp += (v - t) + sp
-            sp = t
-            v = w * am
-            t = sm + v
-            if abs(sm) >= abs(v):
-                cm += (sm - t) + v
-            else:
-                cm += (v - t) + sm
-            sm = t
-    e_plus = sp + cp
-    e_minus = sm + cm
+    e_plus = expect_pair(d, lambda u, v: np.abs(u + v) ** alpha)
+    e_minus = expect_pair(d, lambda u, v: np.abs(u - v) ** alpha)
     report = GapReport(alpha=alpha, e_plus=e_plus, e_minus=e_minus, route="exact")
     if alpha <= 2:
         _check_nonneg(report.gap, e_plus + e_minus, "exact gap")
@@ -145,12 +126,9 @@ def gap_tail_integral(d: DiscreteDist) -> GapReport:
     """
     abs_vals = sorted({abs(x) for x, _ in d.atoms})
     points = [0.0] + [b for b in abs_vals if b > 0.0]
-    terms = []
-    for bk, bk1 in zip(points, points[1:]):
-        tv = tail_functional(d, bk)
-        terms.append((bk1 - bk) * tv * tv)
-    gap = 2.0 * neumaier_sum(terms)
-    e_plus = expect_pair(d, lambda u, v: abs(u + v))
+    tails = [tail_functional(d, b) for b in points[:-1]]
+    gap = 2.0 * math.fsum((b1 - b0) * tv * tv for b0, b1, tv in zip(points, points[1:], tails))
+    e_plus = expect_pair(d, lambda u, v: np.abs(u + v))
     return GapReport(alpha=1.0, e_plus=e_plus, e_minus=e_plus - gap, route="tail")
 
 
@@ -159,43 +137,23 @@ def gap_via_variance(d: DiscreteDist, alpha: float) -> GapReport:
     functional sum p_i * sgn(x_i) * B_{|x_i|} for the (1/2, alpha) process.
 
     The variance is the double sum of p_i p_j cov(|x_i|, |x_j|) sgn sgn;
-    it must be nonnegative, which is exactly why the gap is.
+    it must be nonnegative, which is exactly why the gap is.  The kernel
+    is evaluated once, as the matrix over the sorted distinct |x_i|.
     """
     if not 0 < alpha <= 2:
         raise OutOfDomainError("0 < alpha <= 2")
     params = validate_params(0.5, alpha)
-    atoms = d.atoms
-    abss = [abs(x) for x, _ in atoms]
-    signs = [sgn(x) for x, _ in atoms]
-    var = cv = 0.0
-    scale = cs = 0.0
-    n = len(atoms)
-    for i in range(n):
-        pi = atoms[i][1]
-        ai = abss[i]
-        gi = signs[i]
-        for j in range(n):
-            kij = cov(params, ai, abss[j])
-            mag = pi * atoms[j][1] * kij
-            v = mag * gi * signs[j]
-            t = var + v
-            if abs(var) >= abs(v):
-                cv += (var - t) + v
-            else:
-                cv += (v - t) + var
-            var = t
-            u = abs(mag)
-            t = scale + u
-            if abs(scale) >= abs(u):
-                cs += (scale - t) + u
-            else:
-                cs += (u - t) + scale
-            scale = t
-    var += cv
-    scale += cs
+    abs_vals = np.unique(np.abs(d.values()))
+    kmat = cov_matrix(params, abs_vals.tolist())
+
+    def kernel(u, v):
+        return kmat[np.searchsorted(abs_vals, np.abs(u)), np.searchsorted(abs_vals, np.abs(v))]
+
+    var = expect_pair(d, lambda u, v: kernel(u, v) * (np.sign(u) * np.sign(v)))
+    scale = expect_pair(d, lambda u, v: np.abs(kernel(u, v)))
     _check_nonneg(var, scale, "Var of kernel functional")
     gap = 2.0**alpha * var
-    e_plus = expect_pair(d, lambda u, v: abs(u + v) ** alpha)
+    e_plus = expect_pair(d, lambda u, v: np.abs(u + v) ** alpha)
     return GapReport(alpha=alpha, e_plus=e_plus, e_minus=e_plus - gap, route="variance")
 
 
@@ -215,28 +173,28 @@ def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> Gap
     independent substreams of ``seed``; ``stderr`` is the sample standard
     error of the per-pair difference.  Work is split into fixed-size
     chunks reduced in index order, so the estimate does not depend on
-    ``workers``.
+    ``workers`` (>= 1; threads are capped at os.cpu_count() and the chunks).
     """
     if not 0 < alpha <= 2:
         raise OutOfDomainError("0 < alpha <= 2")
     if n < 2:
         raise InsufficientSamplesError(f"need n >= 2 pairs, got {n}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if s.moment_hint is not None and alpha > s.moment_hint:
         raise ValueError(
             f"sampler only asserts finite moments up to order {s.moment_hint}, got alpha={alpha}"
         )
     sizes = [min(MC_CHUNK, n - start) for start in range(0, n, MC_CHUNK)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = min(workers, len(sizes), os.cpu_count() or 1)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(
                 pool.map(lambda c: _mc_chunk(s, alpha, seed, c, sizes[c]), range(len(sizes)))
             )
     else:
         partials = [_mc_chunk(s, alpha, seed, c, size) for c, size in enumerate(sizes)]
-    sum_p = neumaier_sum(p[0] for p in partials)
-    sum_m = neumaier_sum(p[1] for p in partials)
-    sum_d = neumaier_sum(p[2] for p in partials)
-    sum_d2 = neumaier_sum(p[3] for p in partials)
+    sum_p, sum_m, sum_d, sum_d2 = (math.fsum(column) for column in zip(*partials))
     var_d = max(0.0, (sum_d2 - sum_d * sum_d / n) / (n - 1))
     return GapReport(
         alpha=alpha,

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     NegativeTimeError,
     NonFiniteError,
@@ -28,6 +30,7 @@ __all__ = [
     "TimeGrid",
     "validate_params",
     "cov",
+    "cov_matrix",
     "signed_identity_lhs",
     "sgn",
 ]
@@ -128,12 +131,10 @@ def cov(p: BifParams, t: float, s: float) -> float:
 
     The arguments are ordered (t >= s) before evaluation so symmetry holds
     bit-exactly, and the zero branches are explicit: cov(t, 0) = 0 and the
-    |t-s| term vanishes exactly on the diagonal.
+    |t-s| term vanishes exactly on the diagonal.  Raises NonFiniteError if
+    a power leaves floating range.  :func:`cov_matrix` matches it bit for bit.
     """
-    if not (math.isfinite(t) and math.isfinite(s)):
-        raise NonFiniteError(f"times must be finite, got ({t}, {s})")
-    if t < 0 or s < 0:
-        raise NegativeTimeError(f"times must be >= 0, got ({t}, {s})")
+    _check_times((t, s))
     if s > t:
         t, s = s, t
     if s == 0.0:
@@ -143,10 +144,58 @@ def cov(p: BifParams, t: float, s: float) -> float:
     H = p.H
     K = p.K
     two_h = 2.0 * H
-    sum_term = (t ** two_h + s ** two_h) ** K
     diff = t - s
-    gap_term = 0.0 if diff == 0.0 else diff ** (two_h * K)
-    return 2.0 ** (-K) * (sum_term - gap_term)
+    try:
+        sum_term = (t ** two_h + s ** two_h) ** K
+        gap_term = 0.0 if diff == 0.0 else diff ** (two_h * K)
+        value = 2.0 ** (-K) * (sum_term - gap_term)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NonFiniteError(f"cov overflowed at ({t}, {s}) for (H, K) = ({H}, {K})")
+    return value
+
+
+def cov_matrix(p: BifParams, times) -> np.ndarray:
+    """The matrix [cov(p, t_i, t_j)], equal to the scalar kernel bit for bit.
+
+    Each t_i**(2H) is computed once.  Entries use the libm powers and the
+    operation order of :func:`cov` (t + s and |t - s| are exact under
+    argument swap) and its exact zeros; the upper triangle is mirrored.
+    """
+    ts = [float(t) for t in times]
+    _check_times(ts)
+    K = p.K
+    two_h = 2.0 * p.H
+    two_hk = two_h * K
+    c = 2.0 ** (-K)
+    n = len(ts)
+    entries = np.zeros((n, n), dtype=np.float64)
+    overflow = NonFiniteError(f"cov overflowed on the grid for (H, K) = ({p.H}, {K})")
+    try:
+        pw = [t ** two_h for t in ts]
+        for i, (ti, pi) in enumerate(zip(ts, pw)):
+            if ti != 0.0:
+                entries[i, i:] = [
+                    0.0 if tj == 0.0
+                    else c * ((pi + pj) ** K - (0.0 if tj == ti else abs(tj - ti) ** two_hk))
+                    for tj, pj in zip(ts[i:], pw[i:])
+                ]
+    except OverflowError:
+        raise overflow from None
+    if not np.isfinite(entries).all():
+        raise overflow
+    lower = np.tril_indices(n, -1)
+    entries[lower] = entries.T[lower]
+    return entries
+
+
+def _check_times(ts) -> None:
+    for t in ts:
+        if not math.isfinite(t):
+            raise NonFiniteError(f"times must be finite, got {t}")
+        if t < 0:
+            raise NegativeTimeError(f"times must be >= 0, got {t}")
 
 
 def sgn(x: float) -> float:

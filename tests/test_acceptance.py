@@ -163,10 +163,10 @@ def test_criterion_5_bernstein_gap_and_series():
         for t, _w in g.mu:
             res = elementary_gap_series(d, t)
             direct = expect_pair(
-                d, lambda u, v: math.exp(-t * (u - v) ** 2) - math.exp(-t * (u + v) ** 2)
+                d, lambda u, v: np.exp(-t * (u - v) ** 2) - np.exp(-t * (u + v) ** 2)
             )
             s_scale = expect_pair(
-                d, lambda u, v: math.exp(-t * (u - v) ** 2) + math.exp(-t * (u + v) ** 2)
+                d, lambda u, v: np.exp(-t * (u - v) ** 2) + np.exp(-t * (u + v) ** 2)
             )
             diff = abs(res.value - direct)
             n_series += 1

@@ -26,11 +26,11 @@ D01 = DiscreteDist([(0.0, 0.5), (1.0, 0.5)])
 
 def elementary_direct(d, t):
     """Oracle: the elementary gap as an explicit double sum."""
-    return expect_pair(d, lambda u, v: math.exp(-t * (u - v) ** 2) - math.exp(-t * (u + v) ** 2))
+    return expect_pair(d, lambda u, v: np.exp(-t * (u - v) ** 2) - np.exp(-t * (u + v) ** 2))
 
 
 def elementary_scale(d, t):
-    return expect_pair(d, lambda u, v: math.exp(-t * (u - v) ** 2) + math.exp(-t * (u + v) ** 2))
+    return expect_pair(d, lambda u, v: np.exp(-t * (u - v) ** 2) + np.exp(-t * (u + v) ** 2))
 
 
 class TestBernsteinFn:
@@ -136,6 +136,22 @@ class TestBernsteinGap:
             g = random_bernstein(rng)
             r = bernstein_gap_exact(d, g)
             assert r.gap >= -1e-10 * (r.e_plus + r.e_minus)
+
+    def test_matches_scalar_eval_f(self):
+        # F is evaluated on numpy pair blocks; eval_f is the scalar reference
+        rng = np.random.default_rng(44)
+        for _ in range(50):
+            d = random_dist(rng, max_atoms=8, lo=-3.0, hi=3.0)
+            g = random_bernstein(rng)
+            r = bernstein_gap_exact(d, g)
+            e_plus = math.fsum(
+                p1 * p2 * eval_f(g, abs(x1 + x2)) for x1, p1 in d.atoms for x2, p2 in d.atoms
+            )
+            e_minus = math.fsum(
+                p1 * p2 * eval_f(g, abs(x1 - x2)) for x1, p1 in d.atoms for x2, p2 in d.atoms
+            )
+            tol = 1e-14 * (e_plus + e_minus)
+            assert abs(r.e_plus - e_plus) <= tol and abs(r.e_minus - e_minus) <= tol
 
     def test_decomposition_linearity(self):
         # gap(G) = b * alpha2-gap + sum_i w_i * elementary gap at t_i

@@ -59,6 +59,10 @@ class TestCov:
         assert r.stdout.strip() == "1"  # t^{2HK} = 1
         assert "warning" in r.stderr
 
+    def test_overflow_exits_2(self, capsys):
+        assert main(["cov", "--H", "1", "--K", "1", "--t", "1e200", "--s", "1e200"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_out_of_domain_without_force(self):
         r = run_cli("cov", "--H", "1", "--K", "2", "--t", "1", "--s", "1")
         assert r.returncode == 2

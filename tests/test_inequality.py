@@ -17,6 +17,9 @@ from bifrac import (
     supnorm_bound,
 )
 
+from bifrac import inequality
+from bifrac.inequality import MC_CHUNK
+
 from _support import mirrored_support_dist, random_dist, symmetric_dist
 
 ALPHAS = (0.1, 0.5, 1.0, 1.3, 1.7, 2.0)
@@ -198,6 +201,40 @@ class TestGapMc:
         r1 = gap_mc(s, 1.3, 200_000, seed=46, workers=1)
         r4 = gap_mc(s, 1.3, 200_000, seed=46, workers=4)
         assert (r1.e_plus, r1.e_minus, r1.stderr) == (r4.e_plus, r4.e_minus, r4.stderr)
+
+    def test_rejects_workers_below_one(self):
+        for workers in (0, -2):
+            with pytest.raises(ValueError):
+                gap_mc(D01.sampler(), 1.0, 100, seed=0, workers=workers)
+
+    @pytest.mark.parametrize(
+        "workers,cpus,chunks,threads",
+        [(10**6, 3, 10, [3]), (8, 16, 2, [2]), (4, 2, 10, [2]), (4, None, 10, []), (1, 8, 10, [])],
+    )
+    def test_thread_count_clamped(self, monkeypatch, workers, cpus, chunks, threads):
+        # The pool is replaced by a serial stand-in that records its size,
+        # so no thread is started.
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(inequality, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(inequality.os, "cpu_count", lambda: cpus)
+        n = chunks * MC_CHUNK
+        r = gap_mc(D01.sampler(), 1.0, n, seed=9, workers=workers)
+        assert started == threads
+        assert r == gap_mc(D01.sampler(), 1.0, n, seed=9, workers=1)
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamplesError):

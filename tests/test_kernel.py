@@ -10,6 +10,7 @@ from bifrac import (
     OutOfDomainError,
     TimeGrid,
     cov,
+    cov_matrix,
     sgn,
     signed_identity_lhs,
     validate_params,
@@ -111,6 +112,26 @@ class TestCov:
             p = validate_params(h, k)
             assert cov(p, rng.uniform(0, 1000), 0.0) == 0.0
         assert cov(validate_params(0.5, 1.0), 0.0, 0.0) == 0.0
+
+    def test_overflow_raises_nonfinite(self):
+        # t**(2H) leaves double range at t = 1e200 with H = 1
+        with pytest.raises(NonFiniteError):
+            cov(validate_params(1.0, 1.0), 1e200, 1e200)
+        # t**(2H) + s**(2H) overflows to inf without a pow overflow
+        with pytest.raises(NonFiniteError):
+            cov(validate_params(0.5, 1.0), 1e308, 1.5e308)
+
+    def test_matrix_overflow_raises_nonfinite(self):
+        with pytest.raises(NonFiniteError):
+            cov_matrix(validate_params(1.0, 1.0), [1.0, 1e200])
+        with pytest.raises(NonFiniteError):
+            cov_matrix(validate_params(0.5, 1.0), [1e308, 1.5e308])
+
+    def test_matrix_rejects_bad_times(self):
+        with pytest.raises(NegativeTimeError):
+            cov_matrix(validate_params(0.5, 1.0), [1.0, -1.0])
+        with pytest.raises(NonFiniteError):
+            cov_matrix(validate_params(0.5, 1.0), [0.0, math.nan])
 
     def test_fbm_reduction_at_k1(self):
         rng = np.random.default_rng(104)
