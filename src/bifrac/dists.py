@@ -155,15 +155,15 @@ def expect_pair(d: DiscreteDist, g: Callable[[np.ndarray, np.ndarray], np.ndarra
 
     def blocks():
         for lo in range(0, k, rows):
-            u = xs[lo : lo + rows, None]
-            w = ps[lo : lo + rows, None] * ps[None, :]
+            hi = lo + rows
+            # Since 0 <= p_i * p_j <= 1, a term is finite exactly when g is.
             with np.errstate(all="ignore"):
-                gx = np.broadcast_to(g(u, xs[None, :]), w.shape)
-            bad = ~np.isfinite(gx)
+                terms = ps[lo:hi, None] * ps[None, :] * g(xs[lo:hi, None], xs[None, :])
+            bad = ~np.isfinite(terms)
             if bad.any():
                 i, j = np.argwhere(bad)[0]
-                raise NonFiniteError(f"g({xs[lo + i]}, {xs[j]}) = {gx[i, j]}")
-            yield memoryview((w * gx).ravel())
+                raise NonFiniteError(f"g({xs[lo + i]}, {xs[j]}) is not finite")
+            yield memoryview(terms.ravel())
 
     return math.fsum(itertools.chain.from_iterable(blocks()))
 

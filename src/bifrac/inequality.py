@@ -143,11 +143,12 @@ def gap_via_variance(d: DiscreteDist, alpha: float) -> GapReport:
     if not 0 < alpha <= 2:
         raise OutOfDomainError("0 < alpha <= 2")
     params = validate_params(0.5, alpha)
-    abs_vals = np.unique(np.abs(d.values()))
-    kmat = cov_matrix(params, abs_vals.tolist())
+    abs_vals = sorted({abs(x) for x in d.values()})
+    kmat = cov_matrix(params, abs_vals)
+    keys = np.array(abs_vals)
 
     def kernel(u, v):
-        return kmat[np.searchsorted(abs_vals, np.abs(u)), np.searchsorted(abs_vals, np.abs(v))]
+        return kmat[np.searchsorted(keys, np.abs(u)), np.searchsorted(keys, np.abs(v))]
 
     var = expect_pair(d, lambda u, v: kernel(u, v) * (np.sign(u) * np.sign(v)))
     scale = expect_pair(d, lambda u, v: np.abs(kernel(u, v)))

@@ -161,7 +161,7 @@ def cov_matrix(p: BifParams, times) -> np.ndarray:
 
     Each t_i**(2H) is computed once.  Entries use the libm powers and the
     operation order of :func:`cov` (t + s and |t - s| are exact under
-    argument swap) and its exact zeros; the upper triangle is mirrored.
+    argument swap) and its exact zeros; each row is mirrored into its column.
     """
     ts = [float(t) for t in times]
     _check_times(ts)
@@ -176,7 +176,7 @@ def cov_matrix(p: BifParams, times) -> np.ndarray:
         pw = [t ** two_h for t in ts]
         for i, (ti, pi) in enumerate(zip(ts, pw)):
             if ti != 0.0:
-                entries[i, i:] = [
+                entries[i, i:] = entries[i:, i] = [
                     0.0 if tj == 0.0
                     else c * ((pi + pj) ** K - (0.0 if tj == ti else abs(tj - ti) ** two_hk))
                     for tj, pj in zip(ts[i:], pw[i:])
@@ -185,8 +185,6 @@ def cov_matrix(p: BifParams, times) -> np.ndarray:
         raise overflow from None
     if not np.isfinite(entries).all():
         raise overflow
-    lower = np.tril_indices(n, -1)
-    entries[lower] = entries.T[lower]
     return entries
 
 

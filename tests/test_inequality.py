@@ -17,9 +17,6 @@ from bifrac import (
     supnorm_bound,
 )
 
-from bifrac import inequality
-from bifrac.inequality import MC_CHUNK
-
 from _support import mirrored_support_dist, random_dist, symmetric_dist
 
 ALPHAS = (0.1, 0.5, 1.0, 1.3, 1.7, 2.0)
@@ -209,11 +206,13 @@ class TestGapMc:
 
     @pytest.mark.parametrize(
         "workers,cpus,chunks,threads",
-        [(10**6, 3, 10, [3]), (8, 16, 2, [2]), (4, 2, 10, [2]), (4, None, 10, []), (1, 8, 10, [])],
+        [(10**6, 3, 4, [3]), (8, 16, 2, [2]), (4, 2, 4, [2]), (4, None, 4, []), (1, 8, 4, [])],
     )
     def test_thread_count_clamped(self, monkeypatch, workers, cpus, chunks, threads):
         # The pool is replaced by a serial stand-in that records its size,
         # so no thread is started.
+        from bifrac import inequality
+
         started = []
 
         class SerialPool:
@@ -231,7 +230,7 @@ class TestGapMc:
 
         monkeypatch.setattr(inequality, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(inequality.os, "cpu_count", lambda: cpus)
-        n = chunks * MC_CHUNK
+        n = chunks * inequality.MC_CHUNK
         r = gap_mc(D01.sampler(), 1.0, n, seed=9, workers=workers)
         assert started == threads
         assert r == gap_mc(D01.sampler(), 1.0, n, seed=9, workers=1)

@@ -62,7 +62,7 @@ def hard_laws(draw, max_atoms=24):
 alphas = st.floats(0.05, 2.0)
 
 
-@_settings(100)
+@_settings(60)
 @given(hard_laws(), alphas)
 def test_exact_and_variance_routes_agree(d, alpha):
     exact = gap_exact(d, alpha)
@@ -72,7 +72,7 @@ def test_exact_and_variance_routes_agree(d, alpha):
     assert abs(var.gap - exact.gap) <= REL_TOL * scale
 
 
-@_settings(100)
+@_settings(60)
 @given(hard_laws())
 def test_exact_and_tail_routes_agree(d):
     exact = gap_exact(d, 1.0)
@@ -81,7 +81,7 @@ def test_exact_and_tail_routes_agree(d):
     assert abs(tail.gap - exact.gap) <= REL_TOL * (exact.e_plus + exact.e_minus)
 
 
-@_settings(60)
+@_settings(40)
 @given(hard_laws(), alphas, st.sampled_from((-3.0, -1e-3, 0.5, 2.0, 1e3)))
 def test_gap_homogeneity(d, alpha, c):
     base = gap_exact(d, alpha)
