@@ -16,8 +16,6 @@ from .counterexample import (
     CounterFamily,
     closed_form_violation,
     family_dist,
-    family_from_json,
-    family_to_json,
     find_violation,
     lower_bound_chain,
     violation_exact,

@@ -27,9 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dists import DiscreteDist, expect_pair
-from .errors import InequalityViolationError, NegativeArgumentError, NonFiniteError
-from .inequality import GapReport
+from .dists import DiscreteDist, _json_number, expect_pair
+from .errors import NegativeArgumentError, NonFiniteError
+from .inequality import GapReport, _check_nonneg
 
 __all__ = [
     "BernsteinFn",
@@ -128,11 +128,7 @@ def bernstein_gap_exact(d: DiscreteDist, g: BernsteinFn) -> GapReport:
     e_plus = expect_pair(d, lambda u, v: _f_block(g, np.abs(u + v)))
     e_minus = expect_pair(d, lambda u, v: _f_block(g, np.abs(u - v)))
     report = GapReport(alpha=None, e_plus=e_plus, e_minus=e_minus, route="exact")
-    scale = e_plus + e_minus
-    if report.gap < -1e-12 * scale:
-        raise InequalityViolationError(
-            f"Bernstein gap {report.gap!r} below -1e-12 * scale (scale = {scale!r})"
-        )
+    _check_nonneg(report.gap, e_plus + e_minus, "Bernstein gap")
     return report
 
 
@@ -153,7 +149,7 @@ def elementary_gap_series(
 
     Raises
     ------
-    OverflowError
+    NonFiniteError
         If 2*t*max|x|**2 is so large that the dominating coefficients
         leave floating range even after rescaling.
     """
@@ -166,7 +162,7 @@ def elementary_gap_series(
         return SeriesResult(value=0.0, truncation_bound=0.0, n_terms=n_terms or 1)
     z = 2.0 * t * x_max * x_max
     if z > _Z_LIMIT:
-        raise OverflowError(
+        raise NonFiniteError(
             f"2*t*max|x|**2 = {z:g} exceeds {_Z_LIMIT:g}; series coefficients overflow"
         )
     # Atom states p*sgn(x)*(|x|/x_max)**(2n+1)*exp(-t*x**2), advanced
@@ -193,7 +189,7 @@ def elementary_gap_series(
             if ratio < 0.5 and next_coef < _STOP_ABS:
                 break
             if n >= _MAX_TERMS:
-                raise OverflowError(f"series did not satisfy stopping rule in {_MAX_TERMS} terms")
+                raise NonFiniteError(f"series did not satisfy stopping rule in {_MAX_TERMS} terms")
         coef = next_coef
         for i, r2 in enumerate(ratios2):
             states[i] *= r2
@@ -247,8 +243,8 @@ def bernstein_from_json(obj) -> BernsteinFn:
     for entry in raw:
         if not isinstance(entry, dict) or "t" not in entry or "w" not in entry:
             raise ValueError('each measure atom must be an object with "t" and "w"')
-        mu.append((float(entry["t"]), float(entry["w"])))
-    return BernsteinFn(a=float(obj["a"]), b=float(obj["b"]), mu=tuple(mu))
+        mu.append((_json_number(entry, "t"), _json_number(entry, "w")))
+    return BernsteinFn(a=_json_number(obj, "a"), b=_json_number(obj, "b"), mu=tuple(mu))
 
 
 def bernstein_to_json(g: BernsteinFn) -> dict:

@@ -26,12 +26,7 @@ from .counterexample import find_violation, lower_bound_chain
 from .dists import dist_from_json
 from .errors import (
     BifracError,
-    DegenerateFamilyError,
     InequalityViolationError,
-    InsufficientSamplesError,
-    NegativeArgumentError,
-    NegativeTimeError,
-    NonFiniteError,
     NotPSDError,
     NumericalFailureError,
     OutOfDomainError,
@@ -41,18 +36,19 @@ from .gpsim import build_cov_matrix, check_psd, sample_paths
 from .inequality import gap_exact, gap_mc, gap_tail_integral, gap_via_variance
 from .kernel import BifParams, TimeGrid, cov, validate_params
 
-_INPUT_ERRORS = (
-    OutOfDomainError,
-    NonFiniteError,
-    NegativeTimeError,
-    NegativeArgumentError,
-    DegenerateFamilyError,
-    InsufficientSamplesError,
-    ValueError,
-    TypeError,
-    OverflowError,
-    OSError,
-)
+# Exit code per exception family; the first entry the exception is an
+# instance of decides.  Anything else propagates: it is a defect.
+_EXIT_CODES = {
+    InequalityViolationError: 3,
+    NotPSDError: 4,
+    NumericalFailureError: 4,
+    SearchExhaustedError: 5,
+    BifracError: 2,
+    ValueError: 2,
+    TypeError: 2,
+    OverflowError: 2,
+    OSError: 2,
+}
 
 
 def _fmt(x) -> str:
@@ -258,24 +254,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return 2
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InequalityViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (NotPSDError, NumericalFailureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except SearchExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except BifracError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except tuple(_EXIT_CODES) as exc:
+        prefix = "malformed JSON: " if isinstance(exc, json.JSONDecodeError) else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

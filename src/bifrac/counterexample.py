@@ -36,8 +36,6 @@ __all__ = [
     "closed_form_violation",
     "lower_bound_chain",
     "find_violation",
-    "family_from_json",
-    "family_to_json",
 ]
 
 M_CAP = 1e9
@@ -166,17 +164,6 @@ def lower_bound_chain(f: CounterFamily) -> BoundChain:
     if abs(bound1 - bound2) > 1e-10 * scale:
         raise InequalityViolationError(f"bound1 {bound1!r} != bound2 {bound2!r}")
     return BoundChain(exact=exact, bound1=bound1, bound2=bound2)
-
-
-def family_from_json(obj) -> CounterFamily:
-    """Parse ``{"alpha":..,"c":..,"M":..}``."""
-    if not isinstance(obj, dict) or not {"alpha", "c", "M"} <= set(obj):
-        raise ValueError('family JSON must be an object with "alpha", "c" and "M"')
-    return CounterFamily(alpha=float(obj["alpha"]), c=float(obj["c"]), M=float(obj["M"]))
-
-
-def family_to_json(f: CounterFamily) -> dict:
-    return {"alpha": f.alpha, "c": f.c, "M": f.M}
 
 
 def find_violation(alpha: float) -> CounterFamily:

@@ -187,8 +187,8 @@ def tail_functional(d: DiscreteDist, r: float) -> float:
 def dist_from_json(obj) -> DiscreteDist:
     """Parse ``{"atoms":[{"x":..,"p":..},...]}``.
 
-    Rejects duplicate x here; DiscreteDist rejects nonpositive p and
-    |sum(p) - 1| > 1e-12.
+    Rejects values that are not JSON numbers and duplicate x here;
+    DiscreteDist rejects nonpositive p and |sum(p) - 1| > 1e-12.
     """
     if not isinstance(obj, dict) or "atoms" not in obj:
         raise ValueError('distribution JSON must be an object with an "atoms" list')
@@ -200,13 +200,22 @@ def dist_from_json(obj) -> DiscreteDist:
     for entry in raw:
         if not isinstance(entry, dict) or "x" not in entry or "p" not in entry:
             raise ValueError('each atom must be an object with "x" and "p"')
-        x = float(entry["x"])
-        p = float(entry["p"])
+        x = _json_number(entry, "x")
+        p = _json_number(entry, "p")
         if x in seen:
             raise ValueError(f"duplicate atom value {x!r}")
         seen.add(x)
         pairs.append((x, p))
     return DiscreteDist(pairs)
+
+
+def _json_number(obj: dict, key: str) -> float:
+    """``obj[key]`` as a float if it is a JSON number; strings, booleans,
+    null and containers raise ValueError."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f'"{key}" must be a JSON number, got {value!r}')
+    return float(value)
 
 
 def dist_to_json(d: DiscreteDist) -> dict:

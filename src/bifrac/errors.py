@@ -19,7 +19,7 @@ class NonFiniteError(BifracError):
 class OutOfDomainError(BifracError):
     """A parameter violates its admissible domain.
 
-    ``constraint`` names the specific bound that failed, e.g. ``"H*K <= 1"``.
+    ``constraint`` names the specific bound that failed, e.g. ``"K <= 2"``.
     """
 
     def __init__(self, constraint: str, message: str | None = None):

@@ -11,7 +11,7 @@ scheduled across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,15 +43,12 @@ class PsdVerdict:
 
 @dataclass
 class CovMatrix:
-    """Symmetric matrix of kernel evaluations over a grid.
-
-    ``psd_verdict`` is None (undetermined) until :func:`check_psd` runs.
-    """
+    """Symmetric matrix of kernel evaluations over a grid.  It carries no
+    PSD verdict: :func:`check_psd` returns one."""
 
     params: BifParams
     grid: TimeGrid
     entries: np.ndarray
-    psd_verdict: PsdVerdict | None = field(default=None)
 
     @property
     def scale(self) -> float:
@@ -87,8 +84,8 @@ def check_psd(m: CovMatrix, tol: float = 1e-8) -> PsdVerdict:
     """Decide positive semi-definiteness by symmetric eigendecomposition.
 
     PSD iff the smallest eigenvalue is >= -tol * scale, with scale the
-    largest diagonal entry.  The verdict is stored back on the matrix and
-    carries the computed minimum eigenvalue either way.
+    largest diagonal entry.  The returned verdict carries the computed
+    minimum eigenvalue either way; the matrix is not modified.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -97,16 +94,23 @@ def check_psd(m: CovMatrix, tol: float = 1e-8) -> PsdVerdict:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigenvalue computation failed: {exc}") from exc
     min_eig = float(eigs[0])
-    verdict = PsdVerdict(is_psd=min_eig >= -tol * m.scale, min_eig=min_eig)
-    m.psd_verdict = verdict
-    return verdict
+    return PsdVerdict(is_psd=min_eig >= -tol * m.scale, min_eig=min_eig)
 
 
-def _factor(a: np.ndarray, scale: float) -> np.ndarray:
-    """Cholesky with the jitter ladder 0, 1e-12*scale, 1e-10*scale."""
+def _factor(m: CovMatrix) -> tuple[list[int], np.ndarray]:
+    """Lower Cholesky factor of the t != 0 block of ``m``.
+
+    Coordinates at t = 0 are pinned to zero (the process starts at 0 almost
+    surely), so only the submatrix of the other coordinates is factorized,
+    with the jitter ladder 0, 1e-12*scale, 1e-10*scale.  Returns ``(nonzero,
+    l_sub)``: the indices of the t != 0 coordinates and the factor of their
+    submatrix.
+    """
+    nonzero = [i for i, t in enumerate(m.grid.points) if t != 0.0]
+    sub = m.entries[np.ix_(nonzero, nonzero)]
     for jitter in _JITTERS:
         try:
-            return np.linalg.cholesky(a + (jitter * scale) * np.eye(len(a)))
+            return nonzero, np.linalg.cholesky(sub + (jitter * m.scale) * np.eye(len(sub)))
         except np.linalg.LinAlgError:
             continue
     raise NotPSDError(
@@ -115,19 +119,11 @@ def _factor(a: np.ndarray, scale: float) -> np.ndarray:
 
 
 def cholesky_factor(m: CovMatrix) -> np.ndarray:
-    """Full-size lower factor L with L @ L.T ~= entries.
-
-    Coordinates at t = 0 are pinned to zero (the process starts at 0 almost
-    surely), so their rows and columns of L are zero and only the
-    complementary submatrix is factorized.
-    """
-    n = len(m.grid)
-    nonzero = [i for i in range(n) if m.grid[i] != 0.0]
-    full = np.zeros((n, n), dtype=np.float64)
-    if nonzero:
-        sub = m.entries[np.ix_(nonzero, nonzero)]
-        l_sub = _factor(sub, m.scale)
-        full[np.ix_(nonzero, nonzero)] = l_sub
+    """Full-size lower factor L with L @ L.T ~= entries; the rows and
+    columns of the t = 0 coordinates are zero (see :func:`_factor`)."""
+    nonzero, l_sub = _factor(m)
+    full = np.zeros(m.entries.shape)
+    full[np.ix_(nonzero, nonzero)] = l_sub
     return full
 
 
@@ -146,19 +142,13 @@ def sample_paths(p: BifParams, grid: TimeGrid, m: int, seed: int) -> PathBatch:
         Every value of (p, grid, m, seed) maps to one fixed batch.
     """
     if not p.in_domain:
-        raise OutOfDomainError("H*K <= 1", "sampling requires (H, K) in the existence domain")
+        raise OutOfDomainError(p.failed_bound, "sampling requires (H, K) in the existence domain")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    matrix = build_cov_matrix(p, grid)
-    n = len(grid)
-    nonzero = [i for i in range(n) if grid[i] != 0.0]
-    paths = np.zeros((m, n), dtype=np.float64)
-    if nonzero:
-        sub = matrix.entries[np.ix_(nonzero, nonzero)]
-        l_sub = _factor(sub, matrix.scale)
-        k = len(nonzero)
-        for chunk, start in enumerate(range(0, m, CHUNK_ROWS)):
-            rows = min(CHUNK_ROWS, m - start)
-            z = substream(seed, 0, chunk).standard_normal((rows, k))
-            paths[start : start + rows, nonzero] = z @ l_sub.T
+    nonzero, l_sub = _factor(build_cov_matrix(p, grid))
+    paths = np.zeros((m, len(grid)), dtype=np.float64)
+    for chunk, start in enumerate(range(0, m, CHUNK_ROWS)):
+        rows = min(CHUNK_ROWS, m - start)
+        z = substream(seed, 0, chunk).standard_normal((rows, len(nonzero)))
+        paths[start : start + rows, nonzero] = z @ l_sub.T
     return PathBatch(grid=grid, paths=paths, seed=seed)

@@ -59,8 +59,20 @@ class BifParams:
             raise OutOfDomainError("K > 0")
 
     @property
+    def failed_bound(self) -> str | None:
+        """The first upper bound of ``D`` that (H, K) breaks, checked in the
+        order H <= 1, K <= 2, H*K <= 1; None inside ``D``."""
+        if not self.H <= 1:
+            return "H <= 1"
+        if not self.K <= 2:
+            return "K <= 2"
+        if not self.H * self.K <= 1:
+            return "H*K <= 1"
+        return None
+
+    @property
     def in_domain(self) -> bool:
-        return self.H <= 1.0 and self.K <= 2.0 and self.H * self.K <= 1.0
+        return self.failed_bound is None
 
 
 def validate_params(H: float, K: float) -> BifParams:
@@ -71,24 +83,14 @@ def validate_params(H: float, K: float) -> BifParams:
     NonFiniteError
         For NaN or infinite inputs.
     OutOfDomainError
-        Naming the first violated bound among H > 0, H <= 1, K > 0,
-        K <= 2, H*K <= 1.
+        Naming the first violated bound among H > 0, K > 0 (checked by
+        :class:`BifParams`), then H <= 1, K <= 2, H*K <= 1
+        (:attr:`BifParams.failed_bound`).
     """
-    H = float(H)
-    K = float(K)
-    if not (math.isfinite(H) and math.isfinite(K)):
-        raise NonFiniteError(f"H, K must be finite, got ({H}, {K})")
-    if not H > 0:
-        raise OutOfDomainError("H > 0")
-    if not H <= 1:
-        raise OutOfDomainError("H <= 1")
-    if not K > 0:
-        raise OutOfDomainError("K > 0")
-    if not K <= 2:
-        raise OutOfDomainError("K <= 2")
-    if not H * K <= 1:
-        raise OutOfDomainError("H*K <= 1")
-    return BifParams(H, K)
+    p = BifParams(float(H), float(K))
+    if p.failed_bound is not None:
+        raise OutOfDomainError(p.failed_bound)
+    return p
 
 
 @dataclass(frozen=True)
@@ -102,11 +104,7 @@ class TimeGrid:
         object.__setattr__(self, "points", pts)
         if not pts:
             raise ValueError("grid must be nonempty")
-        for t in pts:
-            if not math.isfinite(t):
-                raise NonFiniteError(f"grid point {t} is not finite")
-        if pts[0] < 0:
-            raise NegativeTimeError(f"grid points must be >= 0, got {pts[0]}")
+        _check_times(pts)
         for a, b in zip(pts, pts[1:]):
             if not b > a:
                 raise ValueError(f"grid must be strictly increasing, got {a} then {b}")

@@ -62,6 +62,21 @@ class TestBernsteinFn:
         with pytest.raises(ValueError):
             bernstein_from_json({"a": -1.0, "b": 0.0, "mu": []})
 
+    @pytest.mark.parametrize("bad", ["1.5", True, None, [1.0], {"v": 1.0}])
+    def test_json_rejects_non_numbers(self, bad):
+        with pytest.raises(ValueError):
+            bernstein_from_json({"a": bad, "b": 0.0})
+        with pytest.raises(ValueError):
+            bernstein_from_json({"a": 0.0, "b": bad})
+        with pytest.raises(ValueError):
+            bernstein_from_json({"a": 0.0, "b": 0.0, "mu": [{"t": bad, "w": 1.0}]})
+        with pytest.raises(ValueError):
+            bernstein_from_json({"a": 0.0, "b": 0.0, "mu": [{"t": 1.0, "w": bad}]})
+
+    def test_json_accepts_integers(self):
+        g = bernstein_from_json({"a": 0, "b": 1, "mu": [{"t": 2, "w": 3}]})
+        assert g == BernsteinFn(a=0.0, b=1.0, mu=((2.0, 3.0),))
+
 
 class TestEvalG:
     def test_value_at_zero_is_a(self):
@@ -238,7 +253,7 @@ class TestElementarySeries:
 
     def test_overflow_guard(self):
         d = DiscreteDist([(50.0, 1.0)])
-        with pytest.raises(OverflowError):
+        with pytest.raises(NonFiniteError):
             elementary_gap_series(d, 5.0)
 
     def test_parameter_validation(self):

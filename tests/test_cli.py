@@ -5,7 +5,22 @@ import sys
 
 import pytest
 
-from bifrac import DiscreteDist, dist_to_json
+from bifrac import (
+    BifracError,
+    DegenerateFamilyError,
+    DiscreteDist,
+    InequalityViolationError,
+    InsufficientSamplesError,
+    NegativeArgumentError,
+    NegativeTimeError,
+    NonFiniteError,
+    NotPSDError,
+    NumericalFailureError,
+    OutOfDomainError,
+    SearchExhaustedError,
+    dist_to_json,
+)
+from bifrac import cli
 from bifrac.cli import main, render_json
 
 
@@ -189,6 +204,12 @@ class TestGap:
         r = run_cli("gap", "-d", str(bad), "--alpha", "1", "--route", "exact")
         assert r.returncode == 2
 
+    def test_string_number_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"atoms": [{"x": "1.5", "p": 1.0}]}))
+        assert main(["gap", "-d", str(bad), "--alpha", "1", "--route", "exact"]) == 2
+        assert capsys.readouterr().err.startswith('error: "x" must be a JSON number')
+
     def test_missing_file_exits_2(self, tmp_path):
         r = run_cli("gap", "-d", str(tmp_path / "none.json"), "--alpha", "1", "--route", "exact")
         assert r.returncode == 2
@@ -266,3 +287,51 @@ class TestInProcessMain:
 
     def test_main_domain_error(self, capsys):
         assert main(["cov", "--H", "1", "--K", "2", "--t", "1", "--s", "1"]) == 2
+
+
+class TestExitCodes:
+    """Every exception family reaching ``main`` maps to its documented code."""
+
+    @pytest.mark.parametrize(
+        "exc,code",
+        [
+            (InequalityViolationError("gap below tolerance"), 3),
+            (NotPSDError("factorization failed"), 4),
+            (NumericalFailureError("eigvalsh failed"), 4),
+            (SearchExhaustedError("cap reached"), 5),
+            (BifracError("generic"), 2),
+            (OutOfDomainError("K <= 2"), 2),
+            (NonFiniteError("nan"), 2),
+            (NegativeTimeError("t < 0"), 2),
+            (NegativeArgumentError("r < 0"), 2),
+            (DegenerateFamilyError("one atom"), 2),
+            (InsufficientSamplesError("n < 2"), 2),
+            (ValueError("bad value"), 2),
+            (TypeError("bad type"), 2),
+            (OverflowError("too large"), 2),
+            (OSError("no such file"), 2),
+            (FileNotFoundError("missing.json"), 2),
+            (json.JSONDecodeError("Expecting value", "{x", 1), 2),
+        ],
+        ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else str(v),
+    )
+    def test_exception_maps_to_code(self, monkeypatch, capsys, exc, code):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_series_check", fail)
+        argv = ["series-check", "--x", "1", "--y", "1", "--t", "1", "--n-terms", "1"]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        if isinstance(exc, json.JSONDecodeError):
+            assert captured.err.startswith("error: malformed JSON: ")
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        def fail(args):
+            raise RuntimeError("a defect, not an input error")
+
+        monkeypatch.setattr(cli, "_cmd_series_check", fail)
+        with pytest.raises(RuntimeError):
+            main(["series-check", "--x", "1", "--y", "1", "--t", "1", "--n-terms", "1"])

@@ -10,8 +10,6 @@ from bifrac import (
     SearchExhaustedError,
     closed_form_violation,
     family_dist,
-    family_from_json,
-    family_to_json,
     find_violation,
     gap_exact,
     lower_bound_chain,
@@ -61,18 +59,6 @@ class TestFamilyDist:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateFamilyError):
             family_dist(CounterFamily(alpha=3.0, c=1.0, M=1.0))
-
-
-class TestFamilyJson:
-    def test_round_trip(self):
-        f = CounterFamily(alpha=3.0, c=0.5, M=100.0)
-        assert family_from_json(family_to_json(f)) == f
-
-    def test_validated_on_parse(self):
-        with pytest.raises(OutOfDomainError):
-            family_from_json({"alpha": 2.0, "c": 0.5, "M": 10.0})
-        with pytest.raises(ValueError):
-            family_from_json({"alpha": 3.0, "c": 0.5})
 
 
 class TestViolationExact:

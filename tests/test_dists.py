@@ -213,3 +213,13 @@ class TestJson:
             dist_from_json({"atoms": []})
         with pytest.raises(ValueError):
             dist_from_json({"atoms": [{"x": 1.0}]})
+
+    @pytest.mark.parametrize("bad", ["1.5", "1", True, False, None, [1.0], {"v": 1.0}])
+    def test_rejects_non_numbers(self, bad):
+        with pytest.raises(ValueError):
+            dist_from_json({"atoms": [{"x": bad, "p": 1.0}]})
+        with pytest.raises(ValueError):
+            dist_from_json({"atoms": [{"x": 1.0, "p": bad}]})
+
+    def test_accepts_integers(self):
+        assert dist_from_json({"atoms": [{"x": -2, "p": 1}]}) == DiscreteDist([(-2.0, 1.0)])

@@ -11,6 +11,7 @@ from bifrac import (
     TimeGrid,
     cov,
     cov_matrix,
+    sample_paths,
     sgn,
     signed_identity_lhs,
     validate_params,
@@ -39,12 +40,19 @@ class TestValidateParams:
             (1.5, 0.5, "H <= 1"),
             (0.5, 0.0, "K > 0"),
             (0.5, 2.5, "K <= 2"),
+            (1.0, 2.0, "H*K <= 1"),
+            # Two bounds broken: H > 0 and K > 0 are checked first.
+            (2.0, -1.0, "K > 0"),
         ],
     )
     def test_each_bound_reported(self, H, K, constraint):
         with pytest.raises(OutOfDomainError) as exc:
             validate_params(H, K)
         assert exc.value.constraint == constraint
+        if H > 0 and K > 0:  # otherwise BifParams itself refuses (H, K)
+            with pytest.raises(OutOfDomainError) as exc:
+                sample_paths(BifParams(H, K), TimeGrid((1.0, 2.0)), 2, seed=0)
+            assert exc.value.constraint == constraint
 
     @pytest.mark.parametrize("H,K", [(math.nan, 1.0), (0.5, math.inf), (-math.inf, 1.0)])
     def test_nonfinite_rejected(self, H, K):
@@ -195,6 +203,19 @@ class TestTimeGrid:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             TimeGrid((1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "pts,error",
+        [
+            ((-1.0, 0.0), NegativeTimeError),
+            ((0.0, -1.0), NegativeTimeError),
+            ((math.nan,), NonFiniteError),
+            ((0.0, math.inf), NonFiniteError),
+        ],
+    )
+    def test_rejects_points_cov_rejects(self, pts, error):
+        with pytest.raises(error):
+            TimeGrid(pts)
 
     def test_rejects_negative(self):
         with pytest.raises(NegativeTimeError):
