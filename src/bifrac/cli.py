@@ -105,33 +105,25 @@ def _params(H: float, K: float, force: bool) -> BifParams:
         return BifParams(H, K)
 
 
-def _cmd_cov(args) -> int:
+def _cmd_cov(args) -> str:
     p = _params(args.H, args.K, args.force)
-    print(_fmt(cov(p, args.t, args.s)))
-    return 0
+    return _fmt(cov(p, args.t, args.s))
 
 
-def _cmd_psd_check(args) -> int:
+def _cmd_psd_check(args) -> str:
     p = _params(args.H, args.K, args.force)
     grid = _parse_grid(args.grid)
     verdict = check_psd(build_cov_matrix(p, grid), tol=args.tol)
-    print(
-        render_json(
-            {"psd": verdict.is_psd, "min_eig": verdict.min_eig, "n": len(grid)}
-        )
-    )
-    return 0
+    return render_json({"psd": verdict.is_psd, "min_eig": verdict.min_eig, "n": len(grid)})
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> None:
     p = validate_params(args.H, args.K)
     grid = _parse_grid(args.grid)
-    batch = sample_paths(p, grid, args.m, _resolve_seed(args.seed))
-    batch.to_csv(args.out)
-    return 0
+    sample_paths(p, grid, args.m, _resolve_seed(args.seed)).to_csv(args.out)
 
 
-def _cmd_gap(args) -> int:
+def _cmd_gap(args) -> str:
     d = dist_from_json(_load_json(args.dist))
     if args.route == "exact":
         report = gap_exact(d, args.alpha)
@@ -147,50 +139,37 @@ def _cmd_gap(args) -> int:
         report = gap_mc(
             d.sampler(), args.alpha, args.n, _resolve_seed(args.seed), workers=args.workers
         )
-    print(render_json(report.as_json_dict()))
-    return 0
+    return render_json(report.as_json_dict())
 
 
-def _cmd_counterexample(args) -> int:
+def _cmd_counterexample(args) -> str:
     fam = find_violation(args.alpha)
     chain = lower_bound_chain(fam)
-    print(
-        render_json(
-            {
-                "alpha": fam.alpha,
-                "c": fam.c,
-                "M": fam.M,
-                "violation": chain.exact,
-                "bound1": chain.bound1,
-                "bound2": chain.bound2,
-                "threshold": fam.threshold,
-                "below_threshold": fam.below_threshold,
-            }
-        )
+    return render_json(
+        {
+            "alpha": fam.alpha,
+            "c": fam.c,
+            "M": fam.M,
+            "violation": chain.exact,
+            "bound1": chain.bound1,
+            "bound2": chain.bound2,
+            "threshold": fam.threshold,
+            "below_threshold": fam.below_threshold,
+        }
     )
-    return 0
 
 
-def _cmd_bernstein_gap(args) -> int:
+def _cmd_bernstein_gap(args) -> str:
     d = dist_from_json(_load_json(args.dist))
     g = bernstein_from_json(_load_json(args.bernstein))
-    report = bernstein_gap_exact(d, g)
-    print(render_json(report.as_json_dict()))
-    return 0
+    return render_json(bernstein_gap_exact(d, g).as_json_dict())
 
 
-def _cmd_series_check(args) -> int:
+def _cmd_series_check(args) -> str:
     res = series_identity_check(args.x, args.y, args.t, args.n_terms)
-    print(
-        render_json(
-            {
-                "lhs": res.lhs,
-                "rhs_partial": res.rhs_partial,
-                "remainder_bound": res.remainder_bound,
-            }
-        )
+    return render_json(
+        {"lhs": res.lhs, "rhs_partial": res.rhs_partial, "remainder_bound": res.remainder_bound}
     )
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,7 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        out = args.func(args)
+        if out is not None:
+            print(out)
+        return 0
     except tuple(_EXIT_CODES) as exc:
         prefix = "malformed JSON: " if isinstance(exc, json.JSONDecodeError) else ""
         print(f"error: {prefix}{exc}", file=sys.stderr)

@@ -41,10 +41,6 @@ __all__ = [
 M_CAP = 1e9
 ALPHA_MAX = 40.0
 
-# Above this M, (M+1)**alpha - (M-1)**alpha cancels badly; switch to the
-# odd binomial series for (1+1/M)**alpha - (1-1/M)**alpha.
-_SERIES_M = 1e4
-
 
 @dataclass(frozen=True)
 class CounterFamily:
@@ -96,26 +92,6 @@ def family_dist(f: CounterFamily) -> DiscreteDist:
     return DiscreteDist([(-f.M, q), (1.0, f.p)])
 
 
-def _pow_diff_bracket(alpha: float, M: float) -> float:
-    # (1+x)**alpha - (1-x)**alpha at x = 1/M via the odd binomial series;
-    # terms shrink by ~x**2 per step, so a handful suffice for M > 1e4.
-    x = 1.0 / M
-    coef = alpha
-    xk = x
-    total = coef * xk
-    k = 1
-    while k < 60:
-        coef *= (alpha - k) * (alpha - k - 1.0) / ((k + 1.0) * (k + 2.0))
-        xk *= x * x
-        k += 2
-        term = coef * xk
-        new = total + term
-        if new == total:
-            break
-        total = new
-    return 2.0 * total
-
-
 def closed_form_violation(alpha: float, c: float, M: float) -> float:
     """E|X-Y|**alpha - E|X+Y|**alpha for the two-point law, closed form.
 
@@ -128,10 +104,10 @@ def closed_form_violation(alpha: float, c: float, M: float) -> float:
     q = c / M
     p = 1.0 - q
     m_alpha = M**alpha
-    if M > _SERIES_M:
-        diff = m_alpha * _pow_diff_bracket(alpha, M)
-    else:
-        diff = (M + 1.0) ** alpha - (M - 1.0) ** alpha
+    # (M+1)**alpha - (M-1)**alpha without cancellation; at M = 1 the second
+    # power is exactly 0, where log1p(-1) would raise.
+    lower = -1.0 if M == 1.0 else math.expm1(alpha * math.log1p(-1.0 / M))
+    diff = m_alpha * (math.expm1(alpha * math.log1p(1.0 / M)) - lower)
     two_alpha = 2.0**alpha
     return 2.0 * p * q * diff - two_alpha * m_alpha * q * q - two_alpha * p * p
 

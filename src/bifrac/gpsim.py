@@ -67,11 +67,9 @@ class PathBatch:
     def to_csv(self, path: str) -> None:
         """Write header ``t_0,...,t_{n-1}`` then one row per path, floats
         rendered with 17 significant digits."""
-        n = len(self.grid)
+        header = ",".join(f"t_{i}" for i in range(len(self.grid)))
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(f"t_{i}" for i in range(n)) + "\n")
-            for row in self.paths:
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+            np.savetxt(fh, self.paths, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def build_cov_matrix(p: BifParams, grid: TimeGrid) -> CovMatrix:
@@ -107,10 +105,13 @@ def _factor(m: CovMatrix) -> tuple[list[int], np.ndarray]:
     submatrix.
     """
     nonzero = [i for i, t in enumerate(m.grid.points) if t != 0.0]
+    # Advanced indexing copies, so the jitter is added to sub in place.
     sub = m.entries[np.ix_(nonzero, nonzero)]
+    diag = sub.diagonal().copy()
     for jitter in _JITTERS:
+        np.fill_diagonal(sub, diag + jitter * m.scale)
         try:
-            return nonzero, np.linalg.cholesky(sub + (jitter * m.scale) * np.eye(len(sub)))
+            return nonzero, np.linalg.cholesky(sub)
         except np.linalg.LinAlgError:
             continue
     raise NotPSDError(

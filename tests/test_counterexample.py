@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,16 @@ from bifrac import (
     violation_exact,
 )
 from bifrac import counterexample as cx
+
+
+def exact_terms(alpha: int, c: float, M: float) -> tuple[Fraction, Fraction, Fraction]:
+    """The three terms 2pq[(M+1)^a - (M-1)^a], 2^a M^a q^2 and 2^a p^2 of
+    the closed form, in rational arithmetic at the given float inputs."""
+    c, M = Fraction(c), Fraction(M)
+    q = c / M
+    p = 1 - q
+    diff = (M + 1) ** alpha - (M - 1) ** alpha
+    return 2 * p * q * diff, 2**alpha * M**alpha * q * q, 2**alpha * p * p
 
 
 class TestCounterFamily:
@@ -93,13 +104,22 @@ class TestViolationExact:
             assert abs(violation_exact(f) - (-r.gap)) <= 1e-10 * scale
 
     def test_large_m_series_branch(self):
-        # across the series switchover, (M+1)^3 - (M-1)^3 = 6 M^2 + 2 exactly
+        # at large M, where (M+1)^3 - (M-1)^3 = 6 M^2 + 2 cancels in floats
         for M in (2.0e4, 1.0e5, 1.0e6):
             f = CounterFamily(alpha=3.0, c=0.5, M=M)
             q = f.q
             p = f.p
             oracle = 2.0 * p * q * (6.0 * M * M + 2.0) - 8.0 * M**3 * q * q - 8.0 * p * p
             assert violation_exact(f) == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [3, 4, 5, 7])
+    def test_matches_rational_arithmetic(self, alpha):
+        for c in (0.05, 0.3, 1.0):
+            for M in (1.0, 2.0, 100.0, 1000.0, 9999.0, 10001.0, 1e6, 1e9):
+                a, b, d = exact_terms(alpha, c, M)
+                scale = abs(a) + b + d
+                err = abs(Fraction(closed_form_violation(float(alpha), c, M)) - (a - b - d))
+                assert err <= Fraction(1e-14) * scale, (c, M, float(err / scale))
 
     def test_alpha_at_most_two_never_violates(self):
         # the same family can never produce a positive violation for
@@ -162,6 +182,16 @@ class TestFindViolation:
         assert f.c == 2.0 ** (1.0 - alpha) * alpha
         assert f.below_threshold
         assert violation_exact(f) > 0.0
+
+    @pytest.mark.parametrize("alpha", range(3, 41))
+    def test_first_doubling_with_positive_rational_violation(self, alpha):
+        c = 2.0 ** (1.0 - alpha) * alpha
+        M = 2.0 * max(c, 1.0)
+        a, b, d = exact_terms(alpha, c, M)
+        while a - b - d <= 0:
+            M *= 2.0
+            a, b, d = exact_terms(alpha, c, M)
+        assert find_violation(float(alpha)).M == M
 
     def test_alpha_boundary_rejected(self):
         with pytest.raises(OutOfDomainError):

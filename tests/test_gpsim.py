@@ -6,6 +6,7 @@ from bifrac import (
     CovMatrix,
     NotPSDError,
     OutOfDomainError,
+    PathBatch,
     TimeGrid,
     build_cov_matrix,
     check_psd,
@@ -95,11 +96,33 @@ class TestCholeskyFactor:
             assert np.max(np.abs(L @ L.T - m.entries)) <= 1e-8 * m.scale
 
     def test_reconstruction_near_singular(self):
-        # Nearly duplicated points force the jitter ladder.
+        # Nearly duplicated points make the matrix close to singular; it
+        # still factors at the first rung (no jitter).
         p = validate_params(0.5, 1.0)
         m = build_cov_matrix(p, TimeGrid((1.0, 1.0 + 1e-12, 2.0)))
         L = cholesky_factor(m)
         assert np.max(np.abs(L @ L.T - m.entries)) <= 1e-8 * m.scale
+
+    @pytest.mark.parametrize("delta,jitter", [(1e-13, 1e-12), (1e-11, 1e-10)])
+    def test_jitter_rung(self, delta, jitter):
+        # [[1, 1], [1, 1 - delta]] is indefinite; the ladder factors it at
+        # the first rung whose jitter outweighs delta.
+        entries = np.array([[1.0, 1.0], [1.0, 1.0 - delta]])
+        m = CovMatrix(
+            params=validate_params(0.5, 1.0), grid=TimeGrid((1.0, 2.0)), entries=entries.copy()
+        )
+        L = cholesky_factor(m)
+        assert np.array_equal(L, np.linalg.cholesky(entries + jitter * m.scale * np.eye(2)))
+        assert np.array_equal(m.entries, entries)
+
+    def test_past_last_rung_raises(self):
+        entries = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-9]])
+        m = CovMatrix(
+            params=validate_params(0.5, 1.0), grid=TimeGrid((1.0, 2.0)), entries=entries.copy()
+        )
+        with pytest.raises(NotPSDError):
+            cholesky_factor(m)
+        assert np.array_equal(m.entries, entries)
 
     def test_zero_rows_for_time_zero(self):
         m = build_cov_matrix(validate_params(0.5, 1.0), TimeGrid((0.0, 1.0)))
@@ -195,3 +218,22 @@ class TestCsvExport:
         assert len(lines) == 5
         parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert np.array_equal(parsed, b.paths)
+
+    @pytest.mark.parametrize(
+        "paths",
+        [
+            [[-0.0, 5e-324, 1e16], [1 / 3, -1.5, 1.7976931348623157e308]],
+            [[-0.0], [5e-324], [1 / 3]],
+        ],
+        ids=["extremes", "one_column"],
+    )
+    def test_bytes_match_reference_writer(self, tmp_path, paths):
+        # Reference: one format(v, ".17g") per value, joined by commas.
+        arr = np.array(paths, dtype=np.float64)
+        grid = TimeGrid(tuple(float(i + 1) for i in range(arr.shape[1])))
+        out = tmp_path / "paths.csv"
+        PathBatch(grid=grid, paths=arr, seed=0).to_csv(str(out))
+        header = ",".join(f"t_{i}" for i in range(arr.shape[1]))
+        rows = [",".join(format(v, ".17g") for v in row) for row in arr]
+        assert out.read_bytes() == "".join(line + "\n" for line in [header, *rows]).encode()
+
