@@ -98,7 +98,7 @@ class IdentityCheck(NamedTuple):
 
 def eval_g(g: BernsteinFn, lam: float) -> float:
     """G(lam) for lam >= 0; nondecreasing, G(0) = a."""
-    if lam < 0:
+    if not lam >= 0:
         raise NegativeArgumentError(f"lam must be >= 0, got {lam}")
     return math.fsum(
         [g.a, g.b * lam] + [w * (1.0 - math.exp(-t * lam)) for t, w in g.mu]
@@ -107,7 +107,7 @@ def eval_g(g: BernsteinFn, lam: float) -> float:
 
 def eval_f(g: BernsteinFn, lam: float) -> float:
     """F(lam) = G(lam**2) for lam >= 0."""
-    if lam < 0:
+    if not lam >= 0:
         raise NegativeArgumentError(f"lam must be >= 0, got {lam}")
     return eval_g(g, lam * lam)
 
@@ -153,7 +153,7 @@ def elementary_gap_series(
         If 2*t*max|x|**2 is so large that the dominating coefficients
         leave floating range even after rescaling.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"t must be > 0, got {t}")
     if n_terms is not None and n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
@@ -205,19 +205,27 @@ def series_identity_check(x: float, y: float, t: float, n_terms: int) -> Identit
             = 2*exp(-t x**2 - t y**2) * sum_n (2 t x y)**(2n+1) / (2n+1)!.
 
     Each summand is evaluated with its exp(-t x**2 - t y**2) prefactor
-    folded in via logarithms, so no intermediate overflows regardless of
-    magnitudes.  All summands share the sign of x*y, so the remainder
-    bound is the first omitted summand summed geometrically (infinite when
-    the term ratio is still >= 1 at the cutoff).
+    folded in via logarithms, so the summands themselves never overflow.
+    All summands share the sign of x*y, so the remainder bound is the first
+    omitted summand summed geometrically (infinite when the term ratio is
+    still >= 1 at the cutoff).  Raises NonFiniteError for non-finite x or
+    y, and when (x +- y)**2 or 2*t*x*y is not finite.
     """
-    if t <= 0:
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise NonFiniteError(f"x, y must be finite, got ({x}, {y})")
+    if not t > 0:
         raise ValueError(f"t must be > 0, got {t}")
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    lhs = math.exp(-t * (x - y) ** 2) - math.exp(-t * (x + y) ** 2)
+    try:
+        lhs = math.exp(-t * (x - y) ** 2) - math.exp(-t * (x + y) ** 2)
+    except OverflowError:
+        raise NonFiniteError(f"(x +- y)**2 overflows at ({x}, {y})") from None
     w = 2.0 * t * x * y
     if w == 0.0:
         return IdentityCheck(lhs=lhs, rhs_partial=0.0, remainder_bound=0.0)
+    if not math.isfinite(w):
+        raise NonFiniteError(f"2*t*x*y = {w} is not finite at ({x}, {y}, {t})")
     log_pref = math.log(2.0) - t * (x * x + y * y)
     log_w = math.log(abs(w))
     sign = 1.0 if w > 0 else -1.0

@@ -175,7 +175,7 @@ def tail_functional(d: DiscreteDist, r: float) -> float:
     Right-continuous and piecewise constant in r, with breakpoints at the
     distinct absolute atom values.
     """
-    if r < 0:
+    if not r >= 0:
         raise NegativeArgumentError(f"r must be >= 0, got {r}")
     xs = d.values()
     ps = d.probs()

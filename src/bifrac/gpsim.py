@@ -85,7 +85,7 @@ def check_psd(m: CovMatrix, tol: float = 1e-8) -> PsdVerdict:
     largest diagonal entry.  The returned verdict carries the computed
     minimum eigenvalue either way; the matrix is not modified.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     try:
         eigs = np.linalg.eigvalsh(m.entries)

@@ -6,11 +6,13 @@ independent routes.
                evaluated exactly by breakpoint partition
 * variance  -- alpha in (0, 2]: the gap equals 2**alpha times the variance
                of the Gaussian functional built from the (1/2, alpha)
-               kernel, so it is a sum of kernel evaluations
+               kernel, the quadratic form w^T R w over the distinct |x|
+               with w_a = P(X = a) - P(X = -a)
 * mc        -- paired Monte Carlo estimate for arbitrary samplers
 
-The exact, tail and variance double sums all go through expect_pair
-(numpy pair blocks summed by one correctly rounded math.fsum).
+Every E|X+-Y|**alpha goes through expect_pair (numpy pair blocks summed
+by one correctly rounded math.fsum); the terms of w^T R w are summed by
+one math.fsum as well.
 
 For alpha in (0, 2] the gap is nonnegative; the exact and variance routes
 assert this up to a floating tolerance and raise InequalityViolationError
@@ -32,6 +34,7 @@ from .dists import DiscreteDist, Sampler, expect_pair, tail_functional
 from .errors import (
     InequalityViolationError,
     InsufficientSamplesError,
+    NonFiniteError,
     OutOfDomainError,
 )
 from .kernel import cov_matrix, validate_params
@@ -100,17 +103,47 @@ def _check_nonneg(value: float, scale: float, what: str) -> None:
         )
 
 
+def _in_range(d: DiscreteDist, alpha: float):
+    """``(law, back)`` for moments of degree alpha, such as E|X+Y|**alpha.
+
+    ``law`` is ``d`` and ``back`` the identity while (2*max|x|)**alpha, the
+    largest |x_i +- x_j|**alpha, is finite.  Otherwise ``law`` is the law
+    of X / 2**e with 2**e > 2*max|x| (exact unless an atom goes subnormal)
+    and ``back`` multiplies a moment of it by 2**(e*alpha) through
+    math.ldexp, so no pair overflows before its weight p_i*p_j applies.
+    ``back`` raises NonFiniteError if the moment itself leaves double range.
+    """
+    x_max = max(map(abs, d.values()))
+    try:
+        if math.isfinite((2.0 * x_max) ** alpha):
+            return d, lambda m: m
+    except OverflowError:
+        pass
+    e = math.frexp(x_max)[1] + 1
+    whole, frac = divmod(e * alpha, 1.0)
+
+    def back(m: float) -> float:
+        try:
+            return math.ldexp(m * 2.0**frac, int(whole))
+        except OverflowError:
+            raise NonFiniteError(f"moment {m!r} * 2**{e * alpha!r} is not finite") from None
+
+    return DiscreteDist([(math.ldexp(x, -e), p) for x, p in d.atoms]), back
+
+
 def gap_exact(d: DiscreteDist, alpha: float) -> GapReport:
     """Exact gap by the double sum over atom pairs.
 
     alpha may exceed 2 (the violation search reuses this engine); the
-    nonnegativity assertion applies only for alpha in (0, 2].  Raises
-    NonFiniteError if |x_i +- x_j|**alpha overflows.
+    nonnegativity assertion applies only for alpha in (0, 2].  Laws whose
+    pair powers would overflow are evaluated rescaled (see :func:`_in_range`);
+    raises NonFiniteError if a moment is not finite.
     """
     if not alpha > 0:
         raise OutOfDomainError("alpha > 0")
-    e_plus = expect_pair(d, lambda u, v: np.abs(u + v) ** alpha)
-    e_minus = expect_pair(d, lambda u, v: np.abs(u - v) ** alpha)
+    law, back = _in_range(d, alpha)
+    e_plus = back(expect_pair(law, lambda u, v: np.abs(u + v) ** alpha))
+    e_minus = back(expect_pair(law, lambda u, v: np.abs(u - v) ** alpha))
     report = GapReport(alpha=alpha, e_plus=e_plus, e_minus=e_minus, route="exact")
     if alpha <= 2:
         _check_nonneg(report.gap, e_plus + e_minus, "exact gap")
@@ -128,33 +161,33 @@ def gap_tail_integral(d: DiscreteDist) -> GapReport:
     points = [0.0] + [b for b in abs_vals if b > 0.0]
     tails = [tail_functional(d, b) for b in points[:-1]]
     gap = 2.0 * math.fsum((b1 - b0) * tv * tv for b0, b1, tv in zip(points, points[1:], tails))
-    e_plus = expect_pair(d, lambda u, v: np.abs(u + v))
+    law, back = _in_range(d, 1.0)
+    e_plus = back(expect_pair(law, lambda u, v: np.abs(u + v)))
     return GapReport(alpha=1.0, e_plus=e_plus, e_minus=e_plus - gap, route="tail")
 
 
 def gap_via_variance(d: DiscreteDist, alpha: float) -> GapReport:
     """Gap reconstructed as 2**alpha times the variance of the kernel
-    functional sum p_i * sgn(x_i) * B_{|x_i|} for the (1/2, alpha) process.
+    functional sum_a w_a * B_a for the (1/2, alpha) process.
 
-    The variance is the double sum of p_i p_j cov(|x_i|, |x_j|) sgn sgn;
-    it must be nonnegative, which is exactly why the gap is.  The kernel
-    is evaluated once, as the matrix over the sorted distinct |x_i|.
+    Here a runs over the distinct |x_i| and w_a = P(X = a) - P(X = -a), so
+    the variance is the quadratic form w^T R w with R the kernel matrix on
+    those points; it must be nonnegative, which is exactly why the gap is.
     """
     if not 0 < alpha <= 2:
         raise OutOfDomainError("0 < alpha <= 2")
-    params = validate_params(0.5, alpha)
-    abs_vals = sorted({abs(x) for x in d.values()})
-    kmat = cov_matrix(params, abs_vals)
-    keys = np.array(abs_vals)
-
-    def kernel(u, v):
-        return kmat[np.searchsorted(keys, np.abs(u)), np.searchsorted(keys, np.abs(v))]
-
-    var = expect_pair(d, lambda u, v: kernel(u, v) * (np.sign(u) * np.sign(v)))
-    scale = expect_pair(d, lambda u, v: np.abs(kernel(u, v)))
+    law, back = _in_range(d, alpha)
+    xs = np.array(law.values())
+    keys, where = np.unique(np.abs(xs), return_inverse=True)
+    w = np.bincount(where, weights=np.array(law.probs()) * np.sign(xs))
+    kmat = cov_matrix(validate_params(0.5, alpha), keys)
+    for i, w_i in enumerate(w):
+        kmat[i] *= w_i * w
+    var = math.fsum(memoryview(kmat.ravel()))
+    scale = math.fsum(memoryview(np.abs(kmat, out=kmat).ravel()))
     _check_nonneg(var, scale, "Var of kernel functional")
-    gap = 2.0**alpha * var
-    e_plus = expect_pair(d, lambda u, v: np.abs(u + v) ** alpha)
+    gap = back(2.0**alpha * var)
+    e_plus = back(expect_pair(law, lambda u, v: np.abs(u + v) ** alpha))
     return GapReport(alpha=alpha, e_plus=e_plus, e_minus=e_plus - gap, route="variance")
 
 

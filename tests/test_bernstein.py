@@ -97,6 +97,10 @@ class TestEvalG:
         with pytest.raises(NegativeArgumentError):
             eval_g(BernsteinFn(a=0.0, b=1.0), -0.5)
 
+    def test_nan_rejected(self):
+        with pytest.raises(NegativeArgumentError):
+            eval_g(BernsteinFn(a=0.0, b=1.0), math.nan)
+
     def test_nondecreasing(self):
         rng = np.random.default_rng(40)
         for _ in range(50):
@@ -125,6 +129,10 @@ class TestEvalF:
     def test_negative_rejected(self):
         with pytest.raises(NegativeArgumentError):
             eval_f(BernsteinFn(a=0.0, b=1.0), -1.0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(NegativeArgumentError):
+            eval_f(BernsteinFn(a=0.0, b=1.0), math.nan)
 
 
 class TestBernsteinGap:
@@ -262,6 +270,10 @@ class TestElementarySeries:
         with pytest.raises(ValueError):
             elementary_gap_series(D01, 1.0, n_terms=0)
 
+    def test_nan_t_rejected(self):
+        with pytest.raises(ValueError):
+            elementary_gap_series(D01, math.nan)
+
     def test_moderately_large_values_ok(self):
         # z = 2 t max|x|^2 up to ~600 stays in range; check against direct
         d = DiscreteDist([(-17.0, 0.3), (4.0, 0.4), (16.5, 0.3)])
@@ -316,6 +328,21 @@ class TestSeriesIdentityCheck:
             series_identity_check(1.0, 1.0, 0.0, 5)
         with pytest.raises(ValueError):
             series_identity_check(1.0, 1.0, 1.0, 0)
+        with pytest.raises(ValueError):
+            series_identity_check(1.0, 1.0, math.nan, 5)
+
+    @pytest.mark.parametrize("x,y", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0)])
+    def test_nonfinite_point_rejected(self, x, y):
+        with pytest.raises(NonFiniteError):
+            series_identity_check(x, y, 1.0, 3)
+
+    @pytest.mark.parametrize(
+        "x,y,t", [(1e200, 1e200, 1.0), (1e200, -1e200, 1.0), (1e10, 1e10, 1e300), (1.0, 2.0, math.inf)]
+    )
+    def test_overflow_raises_nonfinite(self, x, y, t):
+        # (x +- y)**2 or 2*t*x*y leaves double range
+        with pytest.raises(NonFiniteError):
+            series_identity_check(x, y, t, 3)
 
 
 class TestPowerFunctionsStillCovered:

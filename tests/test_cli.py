@@ -101,6 +101,10 @@ class TestPsdCheck:
         assert out["psd"] is False
         assert out["min_eig"] < 0
 
+    def test_nan_tol_exits_2(self, capsys):
+        assert main(["psd-check", "--H", "0.5", "--K", "1", "--grid", "1:1:5", "--tol", "nan"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_refused_without_force(self):
         r = run_cli("psd-check", "--H", "1", "--K", "2", "--grid", "1:1:2")
         assert r.returncode == 2
@@ -162,6 +166,18 @@ class TestGap:
         assert r.returncode == 0
         out = json.loads(r.stdout)
         assert abs(out["gap"]) <= 1e-12
+
+    @pytest.mark.parametrize("route", ["exact", "variance"])
+    def test_overflow_before_weighting(self, tmp_path, capsys, route):
+        # (2e154)**2 overflows, but E|X+Y|**2 = 2e298 + 2e288 does not
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(dist_to_json(DiscreteDist([(1e154, 1e-10), (0.0, 1 - 1e-10)]))))
+        assert main(["gap", "-d", str(path), "--alpha", "2", "--route", route]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["e_plus"] == pytest.approx(2e298 + 2e288, rel=1e-12)
+        path.write_text(json.dumps(dist_to_json(DiscreteDist([(1e160, 0.5), (2e160, 0.5)]))))
+        assert main(["gap", "-d", str(path), "--alpha", "2", "--route", route]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_mc_route(self, dist_file):
         r = run_cli(
@@ -277,6 +293,10 @@ class TestSeriesCheckCmd:
 
     def test_bad_t_exits_2(self):
         assert run_cli("series-check", "--x", "1", "--y", "1", "--t", "0", "--n-terms", "5").returncode == 2
+
+    def test_nan_x_exits_2(self, capsys):
+        assert main(["series-check", "--x", "nan", "--y", "1", "--t", "1", "--n-terms", "3"]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestInProcessMain:

@@ -147,6 +147,10 @@ class TestTailFunctional:
         with pytest.raises(NegativeArgumentError):
             tail_functional(DiscreteDist([(1.0, 1.0)]), -0.1)
 
+    def test_nan_r_rejected(self):
+        with pytest.raises(NegativeArgumentError):
+            tail_functional(DiscreteDist([(1.0, 1.0)]), math.nan)
+
     def test_piecewise_structure(self):
         # Constant on each interval between consecutive distinct |x|,
         # so the function takes (number of distinct |x|) + 1 pieces.

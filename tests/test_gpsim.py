@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,8 @@ class TestCheckPsd:
         m = build_cov_matrix(validate_params(0.5, 1.0), TimeGrid((1.0,)))
         with pytest.raises(ValueError):
             check_psd(m, tol=0.0)
+        with pytest.raises(ValueError):
+            check_psd(m, tol=math.nan)
 
 
 class TestCholeskyFactor:

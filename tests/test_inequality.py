@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import bifrac.inequality
 from bifrac import (
+    BifParams,
     DiscreteDist,
     InsufficientSamplesError,
+    NonFiniteError,
     OutOfDomainError,
     Sampler,
+    cov,
     expect,
     expect_pair,
     gap_exact,
@@ -163,6 +167,76 @@ class TestGapViaVariance:
                 r_exact = gap_exact(d, a)
                 scale = r_exact.e_plus + r_exact.e_minus
                 assert abs(r_var.gap - r_exact.gap) <= 1e-10 * scale
+
+    def test_matches_per_pair_double_sum_bitwise(self):
+        # With distinct |x| every term R_ab * (w_a * w_b) equals the per-pair
+        # term (p_i * p_j) * (cov(|x_i|, |x_j|) * sgn * sgn) of the double sum
+        # kept here as the reference, so the variance is bit-identical.
+        rng = np.random.default_rng(38)
+        for _ in range(50):
+            d = random_dist(rng, max_atoms=30)
+            a = float(rng.uniform(0.05, 2.0))
+            p = BifParams(0.5, a)
+            var = math.fsum(
+                p1 * p2 * (cov(p, abs(x1), abs(x2)) * (np.sign(x1) * np.sign(x2)))
+                for x1, p1 in d.atoms
+                for x2, p2 in d.atoms
+            )
+            r = gap_via_variance(d, a)
+            assert r.e_minus == r.e_plus - 2.0**a * var
+
+    def test_one_pair_pass_and_no_lookup(self, monkeypatch):
+        calls = []
+
+        def counted(d, g):
+            calls.append(g)
+            return expect_pair(d, g)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.searchsorted called")
+
+        monkeypatch.setattr(bifrac.inequality, "expect_pair", counted)
+        monkeypatch.setattr(np, "searchsorted", refuse)
+        d = DiscreteDist([(-2.0, 0.2), (-1.0, 0.3), (0.0, 0.1), (1.0, 0.15), (3.0, 0.25)])
+        r = gap_via_variance(d, 1.3)
+        assert len(calls) == 1
+        assert abs(r.gap - gap_exact(d, 1.3).gap) <= 1e-15
+
+
+class TestOverflowBeforeWeighting:
+    # E|X+Y|**2 = 2e298 + 2e288 is representable though (2e154)**2 is not.
+    LAW = DiscreteDist([(1e154, 1e-10), (0.0, 1 - 1e-10)])
+
+    @pytest.mark.parametrize("route", [gap_exact, gap_via_variance])
+    def test_moments_finite(self, route):
+        r = route(self.LAW, 2.0)
+        assert r.e_plus == pytest.approx(2e298 + 2e288, rel=1e-12)
+        assert r.e_minus == pytest.approx(2e298 - 2e288, rel=1e-12)
+        assert abs(r.gap - 4e288) <= 1e-12 * (r.e_plus + r.e_minus)
+
+    def test_tail_route_e_plus(self):
+        # at alpha = 1, |x_i + x_j| = 2e308 overflows; E|X+Y| = 2e298
+        d = DiscreteDist([(1e308, 1e-10), (0.0, 1 - 1e-10)])
+        r = gap_tail_integral(d)
+        assert r.e_plus == pytest.approx(2e298, rel=1e-12)
+        assert abs(r.gap - gap_exact(d, 1.0).gap) <= 1e-12 * (r.e_plus + r.e_minus)
+
+    def test_fractional_exponent(self):
+        # e * alpha is not an integer: the fractional power of 2 is kept
+        d = DiscreteDist([(1e250, 1e-100), (-3e249, 1e-100), (1.0, 1 - 2e-100)])
+        small = d.scaled(2.0**-600)
+        for a in (1.3, 1.45, 1.6):
+            r, s = gap_exact(d, a), gap_exact(small, a)
+            for big, ref in ((r.e_plus, s.e_plus), (r.e_minus, s.e_minus)):
+                assert big == pytest.approx(ref * 2.0 ** (600 * a), rel=1e-12)
+            v = gap_via_variance(d, a)
+            assert abs(v.gap - r.gap) <= 1e-12 * (r.e_plus + r.e_minus)
+
+    @pytest.mark.parametrize("route", [gap_exact, gap_via_variance])
+    def test_unrepresentable_moment_raises(self, route):
+        # E|X+Y|**2 is about 9.5e320, outside double range
+        with pytest.raises(NonFiniteError):
+            route(DiscreteDist([(1e160, 0.5), (2e160, 0.5)]), 2.0)
 
 
 class TestGapMc:

@@ -1,9 +1,10 @@
 """Property-based checks on hard inputs (Hypothesis).
 
 Laws are multi-scale (|x| from 1e-6 to 1e6), Cauchy-tailed or
-near-symmetric (mirrored atoms whose masses differ by ~1e-6 relative), each
-optionally with an atom at 0.  Examples are derandomized and capped so the
-suite stays fast and every run checks the same inputs.
+near-symmetric (mirrored atoms whose masses differ by ~1e-6 relative, with
+|x| from 1e-2 to 1e2, or from 1e-6 to 1e6 for mirrored multi-scale laws),
+each optionally with an atom at 0.  Examples are derandomized and capped so
+the suite stays fast and every run checks the same inputs.
 """
 
 import math
@@ -13,10 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bifrac import (
+    BernsteinFn,
     BifParams,
     DiscreteDist,
+    bernstein_gap_exact,
     cov,
     cov_matrix,
+    elementary_gap_series,
     gap_exact,
     gap_tail_integral,
     gap_via_variance,
@@ -34,7 +38,9 @@ weights = st.floats(0.05, 1.05)
 
 @st.composite
 def hard_laws(draw, max_atoms=24):
-    family = draw(st.sampled_from(("multiscale", "cauchy", "near_symmetric")))
+    family = draw(
+        st.sampled_from(("multiscale", "cauchy", "near_symmetric", "mirrored_multiscale"))
+    )
     k = draw(st.integers(1, max_atoms))
     if family == "multiscale":
         exps = draw(st.lists(st.floats(-6.0, 6.0), min_size=k, max_size=k))
@@ -46,8 +52,9 @@ def hard_laws(draw, max_atoms=24):
         xs = [math.tan(math.pi * (u - 0.5)) for u in us]
         ws = draw(st.lists(weights, min_size=k, max_size=k))
     else:
+        span = 2.0 if family == "near_symmetric" else 6.0
         half = max(1, k // 2)
-        mags = draw(st.lists(st.floats(-2.0, 2.0), min_size=half, max_size=half))
+        mags = draw(st.lists(st.floats(-span, span), min_size=half, max_size=half))
         eps = draw(st.lists(st.floats(-1e-6, 1e-6), min_size=half, max_size=half))
         base = draw(st.lists(weights, min_size=half, max_size=half))
         xs = [s * 10.0**m for m in mags for s in (1.0, -1.0)]
@@ -88,6 +95,37 @@ def test_gap_homogeneity(d, alpha, c):
     scaled = gap_exact(d.scaled(c), alpha)
     factor = abs(c) ** alpha
     assert abs(scaled.gap - factor * base.gap) <= REL_TOL * factor * (base.e_plus + base.e_minus)
+
+
+@st.composite
+def bounded_laws(draw):
+    """Hard laws rescaled to max|x| <= 10, so that with every t <= 3 the
+    series argument 2*t*max|x|**2 stays <= 600, inside its 650 limit."""
+    d = draw(hard_laws())
+    x_max = max(abs(x) for x in d.values())
+    return d.scaled(draw(st.floats(0.01, 10.0)) / x_max) if x_max > 0 else d
+
+
+bernstein_fns = st.builds(
+    lambda a, b, mu: BernsteinFn(a, b, tuple(mu)),
+    st.floats(0.0, 2.0),
+    st.floats(0.0, 2.0),
+    st.lists(st.tuples(st.floats(1e-3, 3.0), st.floats(1e-3, 3.0)), max_size=4),
+)
+
+
+@_settings(60)
+@given(bounded_laws(), bernstein_fns)
+def test_bernstein_gap_matches_series(d, g):
+    # gap = b * (alpha = 2 gap) + sum_i w_i * (elementary gap at t_i); the
+    # constant a contributes nothing.
+    exact = bernstein_gap_exact(d, g)
+    series = [elementary_gap_series(d, t) for t, _ in g.mu]
+    predicted = math.fsum(
+        [g.b * gap_exact(d, 2.0).gap] + [w * s.value for (_, w), s in zip(g.mu, series)]
+    )
+    truncation = math.fsum(w * s.truncation_bound for (_, w), s in zip(g.mu, series))
+    assert abs(exact.gap - predicted) <= REL_TOL * (exact.e_plus + exact.e_minus) + truncation
 
 
 @st.composite
