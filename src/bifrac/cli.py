@@ -9,15 +9,17 @@ series-check.  Exit codes are a stable contract for harnesses:
     4  numerical factorization failure
     5  violation search exhausted
 
-Every numeric field in JSON output is rendered with 17 significant digits,
-and every seeded command is a deterministic function of its full argument
-list (``BIFRAC_SEED`` supplies the seed when --seed is absent).
+Every numeric field in JSON output is rendered with 17 significant digits
+(null where the value is infinite or NaN), and every seeded command is a
+deterministic function of its full argument list (``BIFRAC_SEED``
+supplies the seed when --seed is absent).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -56,13 +58,14 @@ def _fmt(x) -> str:
 
 
 def render_json(obj) -> str:
-    """JSON with floats at 17 significant digits."""
+    """JSON with floats at 17 significant digits; a non-finite float, which
+    JSON cannot hold, renders as null."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
-        return _fmt(obj)
+        return _fmt(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, str):

@@ -4,6 +4,10 @@ DiscreteDist is the exact-computation workhorse: expectations are weighted
 sums taken with ``math.fsum``, which is correctly rounded and independent of
 summation order, so every result is reproducible to the bit.  expect_pair,
 the pair primitive of the exact gap routes, works on numpy pair blocks.
+
+DiscreteDist.sampler draws through a guide table (Chen & Asau 1974;
+Devroye 1986, section III.2.4) built once per sampler.  It reads the same
+uniforms and returns the same stream as ``Generator.choice(xs, size, p=ps)``.
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ _SUM_TOL = 1e-12
 # Pairs per block of the x_i by x_j table in expect_pair (at least one row),
 # so its memory does not grow with k**2.
 PAIR_BLOCK = 1 << 15
+
+# Largest bucket count of the guide table in DiscreteDist.sampler (about
+# 9 MB of table), so its memory stops growing with k past 2**15 atoms.
+GUIDE_BUCKETS_MAX = 1 << 20
 
 
 class DiscreteDist:
@@ -100,11 +108,32 @@ class DiscreteDist:
         return DiscreteDist([(c * x, p) for x, p in self.atoms])
 
     def sampler(self) -> "Sampler":
+        """Sampler whose draws equal ``rng.choice(xs, size, p=ps)`` bit for bit.
+
+        Like ``Generator.choice``, a draw is ``cdf.searchsorted(u, "right")``
+        for u = ``rng.random(size)``, with the CDF normalized the same way.
+        Bucket b of a guide table holds the u in [b/G, (b+1)/G); where no CDF
+        breakpoint falls inside it, every such u has the same index, read
+        from the table.  Only draws in the other buckets (at most k of the
+        G) are searched.  G is the least power of two >= 32k, capped at
+        GUIDE_BUCKETS_MAX; as a power of two it makes ``u * G`` and the
+        bucket edges exact.
+        """
         xs = np.array(self.values(), dtype=np.float64)
-        ps = np.array(self.probs(), dtype=np.float64)
+        cdf = np.array(self.probs(), dtype=np.float64).cumsum()
+        cdf /= cdf[-1]
+        buckets = min(1 << (32 * len(cdf) - 1).bit_length(), GUIDE_BUCKETS_MAX)
+        start = cdf.searchsorted(np.arange(buckets + 1) / buckets, side="right")
+        guide = start[:-1]
+        ambiguous = start[1:] != start[:-1]
 
         def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-            return rng.choice(xs, size=size, p=ps)
+            u = rng.random(size)
+            b = (u * buckets).astype(np.intp)
+            idx = guide[b]
+            m = ambiguous[b]
+            idx[m] = cdf.searchsorted(u[m], side="right")
+            return xs[idx]
 
         return Sampler(draw=draw, moment_hint=math.inf)
 

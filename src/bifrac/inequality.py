@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -222,6 +221,9 @@ def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> Gap
     sizes = [min(MC_CHUNK, n - start) for start in range(0, n, MC_CHUNK)]
     threads = min(workers, len(sizes), os.cpu_count() or 1)
     if threads > 1:
+        # Imported here: most processes never start a pool.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(
                 pool.map(lambda c: _mc_chunk(s, alpha, seed, c, sizes[c]), range(len(sizes)))

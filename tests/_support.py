@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from bifrac import BernsteinFn, DiscreteDist
@@ -54,3 +56,12 @@ def random_domain_params(rng) -> tuple[float, float]:
         k = float(rng.uniform(0.0, 2.0))
         if h > 0.01 and k > 0.01 and h * k <= 1.0:
             return h, k
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text: str):
+    """``json.loads`` that also rejects NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)

@@ -110,6 +110,10 @@ def cases() -> list:
         ("gap_d01_exact", ["gap", "-d", f"{g}/d01.json", "--alpha", "1.3", "--route", "exact"]),
         ("gap_d01_mc", ["gap", "-d", f"{g}/d01.json", "--alpha", "1", "--route", "mc",
                         "--n", "100000", "--seed", "17"]),
+        # The mc stream of a 120-atom law: three full chunks and a partial
+        # one, drawn by two threads.
+        ("gap_nearsym_mc", ["gap", "-d", f"{g}/nearsym.json", "--alpha", "1.3", "--route",
+                            "mc", "--n", "200000", "--seed", "23", "--workers", "2"]),
         ("counterexample", ["counterexample", "--alpha", "2.5"]),
         ("bernstein_d01", ["bernstein-gap", "-d", f"{g}/d01.json", "-g", f"{g}/g01.json"]),
         ("series", ["series-check", "--x", "1.2", "--y", "-0.7", "--t", "0.9", "--n-terms", "25"]),

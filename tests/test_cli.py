@@ -23,6 +23,8 @@ from bifrac import (
 from bifrac import cli
 from bifrac.cli import main, render_json
 
+from _support import strict_json
+
 
 def run_cli(*args, env=None):
     return subprocess.run(
@@ -60,6 +62,9 @@ class TestRenderJson:
     def test_round_trips(self):
         for v in (0.1, 2.0**0.8, -1e-17, 123456.789):
             assert json.loads(render_json(v)) == v
+
+    def test_non_finite_is_null(self):
+        assert render_json([math.inf, -math.inf, math.nan, 1.0]) == "[null, null, null, 1]"
 
 
 class TestCov:
@@ -291,12 +296,29 @@ class TestSeriesCheckCmd:
         assert out["lhs"] == pytest.approx(1.0 - math.exp(-2.0), rel=1e-15)
         assert abs(out["lhs"] - out["rhs_partial"]) <= out["remainder_bound"] + 1e-15
 
+    def test_infinite_remainder_bound_is_null(self):
+        r = run_cli("series-check", "--x", "10", "--y", "10", "--t", "1", "--n-terms", "3")
+        assert r.returncode == 0
+        out = strict_json(r.stdout)
+        assert out["remainder_bound"] is None
+        assert out["lhs"] == 1.0
+
     def test_bad_t_exits_2(self):
         assert run_cli("series-check", "--x", "1", "--y", "1", "--t", "0", "--n-terms", "5").returncode == 2
 
     def test_nan_x_exits_2(self, capsys):
         assert main(["series-check", "--x", "nan", "--y", "1", "--t", "1", "--n-terms", "3"]) == 2
         assert capsys.readouterr().out == ""
+
+
+class TestImportCost:
+    def test_cli_import_leaves_out_thread_pool(self):
+        # concurrent.futures (and logging with it) loads only when gap_mc
+        # starts a pool.
+        code = "import sys, bifrac.cli; print('concurrent.futures' in sys.modules)"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"
 
 
 class TestInProcessMain:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bifrac import (
     DiscreteDist,
@@ -14,6 +16,7 @@ from bifrac import (
     normal_sampler,
     tail_functional,
 )
+from bifrac._rng import substream
 from bifrac.errors import NegativeArgumentError
 
 from _support import random_dist
@@ -166,6 +169,22 @@ class TestTailFunctional:
             assert tail_functional(d, points[-1]) == 0.0
 
 
+def _sampled_law(k: int, shape: str, seed: int) -> DiscreteDist:
+    """A law of k atoms: masses even, spread over 1e-300 .. 1, or one heavy
+    atom beside k - 1 light ones of relative mass 1e-12."""
+    rng = np.random.default_rng(seed)
+    xs = np.arange(k) - 0.5 * k + rng.uniform(-0.25, 0.25, size=k)
+    if shape == "even":
+        ws = 0.05 + rng.random(k)
+    elif shape == "spread":
+        ws = 10.0 ** rng.uniform(-300.0, 0.0, size=k)
+        ws[rng.integers(k)] = 1.0
+    else:
+        ws = np.full(k, 1e-12)
+        ws[rng.integers(k)] = 1.0
+    return DiscreteDist(list(zip(xs.tolist(), (ws / math.fsum(ws)).tolist())))
+
+
 class TestSamplers:
     def test_discrete_sampler_deterministic(self):
         d = DiscreteDist([(-1.0, 0.25), (0.0, 0.25), (3.0, 0.5)])
@@ -180,6 +199,29 @@ class TestSamplers:
         s = d.sampler()
         draws = s.draw(np.random.Generator(np.random.Philox(6)), 100_000)
         assert abs(draws.mean() - 0.75) < 0.01
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.builds(_sampled_law, st.integers(1, 1000), st.sampled_from(("even", "spread", "heavy")),
+                  st.integers(0, 2**32 - 1)),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 1),
+        st.integers(0, 100),
+        st.sampled_from((0, 1, 3392, 65_536)),
+    )
+    @example(_sampled_law(1, "even", 0), 17, 0, 0, 65_536)
+    @example(_sampled_law(1000, "spread", 1), 23, 1, 3, 65_536)
+    @example(_sampled_law(600, "heavy", 2), 5, 0, 1, 3392)
+    @example(_sampled_law(2, "spread", 3), 0, 1, 2, 1)
+    @example(_sampled_law(300, "even", 4), 9, 0, 0, 0)
+    @example(_sampled_law(40_000, "even", 5), 3, 1, 0, 65_536)
+    def test_discrete_sampler_matches_choice(self, d, seed, stream, chunk, size):
+        # rng.choice is the reference: the guide table must return its stream.
+        xs, ps = np.array(d.values()), np.array(d.probs())
+        got = d.sampler().draw(substream(seed, stream, chunk), size)
+        want = substream(seed, stream, chunk).choice(xs, size=size, p=ps)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
     def test_normal_sampler(self):
         s = normal_sampler()

@@ -273,6 +273,19 @@ class TestGapMc:
         r4 = gap_mc(s, 1.3, 200_000, seed=46, workers=4)
         assert (r1.e_plus, r1.e_minus, r1.stderr) == (r4.e_plus, r4.e_minus, r4.stderr)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_large_law_matches_choice_stream(self, workers):
+        # A 1000-atom law over three full chunks and a partial one: the
+        # report equals the one drawn through rng.choice.
+        rng = np.random.default_rng(47)
+        xs = np.sort(rng.uniform(-5.0, 5.0, size=1000))
+        ws = 10.0 ** rng.uniform(-12.0, 0.0, size=1000)
+        d = DiscreteDist(list(zip(xs.tolist(), (ws / math.fsum(ws)).tolist())))
+        vals, probs = np.array(d.values()), np.array(d.probs())
+        ref = Sampler(draw=lambda g, size: g.choice(vals, size=size, p=probs), moment_hint=math.inf)
+        n = 3 * bifrac.inequality.MC_CHUNK + 777
+        assert gap_mc(d.sampler(), 1.3, n, seed=48, workers=workers) == gap_mc(ref, 1.3, n, seed=48)
+
     def test_rejects_workers_below_one(self):
         for workers in (0, -2):
             with pytest.raises(ValueError):
@@ -302,7 +315,7 @@ class TestGapMc:
             def map(self, fn, items):
                 return list(map(fn, items))
 
-        monkeypatch.setattr(inequality, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(inequality.os, "cpu_count", lambda: cpus)
         n = chunks * inequality.MC_CHUNK
         r = gap_mc(D01.sampler(), 1.0, n, seed=9, workers=workers)
