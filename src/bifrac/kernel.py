@@ -157,32 +157,34 @@ def cov(p: BifParams, t: float, s: float) -> float:
 def cov_matrix(p: BifParams, times) -> np.ndarray:
     """The matrix [cov(p, t_i, t_j)], equal to the scalar kernel bit for bit.
 
-    Each t_i**(2H) is computed once.  Entries use the libm powers and the
-    operation order of :func:`cov` (t + s and |t - s| are exact under
-    argument swap) and its exact zeros; each row is mirrored into its column.
+    Each t_i**(2H) is computed once; row i is computed from the diagonal
+    rightwards and mirrored into its column.  Entries keep the operation
+    order of :func:`cov` (t + s and |t - s| are exact under argument swap)
+    and its exact zeros at t = 0.  Powers go through ``np.float_power``,
+    which calls libm ``pow`` as ``**`` on Python floats does; ``np.power``
+    may run a vectorized pow that differs in the last bit, which would
+    break the equality.  Raises NonFiniteError if an entry leaves floating
+    range.
     """
     ts = [float(t) for t in times]
     _check_times(ts)
+    ts = np.array(ts, dtype=np.float64)
     K = p.K
     two_h = 2.0 * p.H
     two_hk = two_h * K
     c = 2.0 ** (-K)
     n = len(ts)
     entries = np.zeros((n, n), dtype=np.float64)
-    overflow = NonFiniteError(f"cov overflowed on the grid for (H, K) = ({p.H}, {K})")
-    try:
-        pw = [t ** two_h for t in ts]
-        for i, (ti, pi) in enumerate(zip(ts, pw)):
-            if ti != 0.0:
-                entries[i, i:] = entries[i:, i] = [
-                    0.0 if tj == 0.0
-                    else c * ((pi + pj) ** K - (0.0 if tj == ti else abs(tj - ti) ** two_hk))
-                    for tj, pj in zip(ts[i:], pw[i:])
-                ]
-    except OverflowError:
-        raise overflow from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        pw = np.float_power(ts, two_h)
+        for i in np.flatnonzero(ts):
+            entries[i, i:] = entries[i:, i] = c * (
+                np.float_power(pw[i] + pw[i:], K) - np.float_power(np.abs(ts[i:] - ts[i]), two_hk)
+            )
+    zero = ts == 0.0
+    entries[zero] = entries[:, zero] = 0.0
     if not np.isfinite(entries).all():
-        raise overflow
+        raise NonFiniteError(f"cov overflowed on the grid for (H, K) = ({p.H}, {K})")
     return entries
 
 

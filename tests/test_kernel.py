@@ -152,6 +152,80 @@ class TestCov:
             assert abs(cov(p, t, s) - fbm) <= 1e-14 * max(scale, 1.0)
 
 
+def _scalar_table(p, ts):
+    return np.array([[cov(p, t, s) for s in ts] for t in ts])
+
+
+def _py_pow(x, e):
+    try:
+        return x**e
+    except OverflowError:
+        return math.inf
+
+
+class TestCovMatrix:
+    """``cov_matrix`` against the scalar ``cov`` table, compared by their
+    bytes so that a last-bit difference or a -0.0 fails."""
+
+    _UNSORTED = [3.0, 0.1, 1e-3, 250.0, 0.5, 7.0, 2.0, 7.5, 0.3, 1e-2, 1e4, 1.9, 5.0, 1e-5, 0.7, 3.3]
+
+    @pytest.mark.parametrize(
+        "ts",
+        [
+            _UNSORTED[:8] + [0.0] + _UNSORTED[8:],
+            _UNSORTED + [0.0],
+            _UNSORTED[:8] + [0.0] + _UNSORTED[8:] + [0.0],
+        ],
+        ids=["zero_in_middle", "zero_at_end", "two_zeros"],
+    )
+    @pytest.mark.parametrize("H,K", [(0.35, 1.7), (0.6, 1.1), (0.25, 0.7)])
+    def test_zero_times_give_zero_rows_and_columns(self, ts, H, K):
+        # Rows before a zero time write into its row through their columns,
+        # where (t**(2H))**K - t**(2HK) is often a last-bit residue, so the
+        # zero row must be cleared as well as the zero column.
+        p = validate_params(H, K)
+        m = cov_matrix(p, ts)
+        zero = np.array(ts) == 0.0
+        assert np.all(m[zero] == 0.0) and np.all(m[:, zero] == 0.0)
+        assert not np.signbit(m).any()
+        assert m.tobytes() == _scalar_table(p, ts).tobytes()
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            TimeGrid.regular(0.0, 0.01, 400).points,
+            TimeGrid.regular(0.01, 0.01, 400).points,
+            (0.0, *np.logspace(-6.0, 6.0, 399).tolist()),
+        ],
+        ids=["regular_from_zero", "regular_from_step", "multiscale_with_zero"],
+    )
+    @pytest.mark.parametrize("H,K", [(0.5, 1.0), (0.35, 1.7), (1.0, 1.0), (0.6, 1.1)])
+    def test_large_grid_equals_scalar_cov_bitwise(self, grid, H, K):
+        p = validate_params(H, K)
+        assert cov_matrix(p, grid).tobytes() == _scalar_table(p, grid).tobytes()
+
+    def test_float_power_is_python_pow(self):
+        rng = np.random.default_rng(107)
+        bases = np.concatenate(
+            [[0.0, 1.0], 10.0 ** rng.uniform(-300.0, 300.0, 4000), rng.uniform(0.0, 10.0, 4000)]
+        )
+        exponents = sorted(
+            {e for H in (0.05, 0.2, 0.35, 0.5, 0.6, 0.75, 1.0)
+             for K in (0.3, 0.5, 1.0, 1.1, 1.7, 2.0)
+             for e in (2.0 * H, K, 2.0 * H * K)}
+        )
+        for e in exponents:
+            with np.errstate(over="ignore"):
+                got = np.float_power(bases, e)
+            want = np.array([_py_pow(x, e) for x in bases.tolist()])
+            bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+            assert bad.size == 0, (
+                f"np.float_power(x, {e!r}) differs from x ** {e!r} at {bad.size} bases, "
+                f"first x = {bases[bad[0]]!r}; cov_matrix equals cov bit for bit only "
+                "while np.float_power calls libm pow as Python's ** does"
+            )
+
+
 class TestSignedIdentity:
     def test_same_sign(self):
         # oracle: |2| - |0|
