@@ -28,7 +28,6 @@ from .dists import (
     expect,
     expect_pair,
     normal_sampler,
-    tail_functional,
 )
 from .errors import (
     BifracError,

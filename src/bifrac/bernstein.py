@@ -13,10 +13,11 @@ atom contributes the elementary gap
     E[exp(-t (X-Y)**2) - exp(-t (X+Y)**2)]
         = 2 * sum_{n>=0} (2t)**(2n+1) / (2n+1)! * E(X**(2n+1) e**(-t X**2))**2,
 
-a series of squares, hence nonnegative term by term.  The series evaluator
-below keeps the odd moments in a rescaled form (atom states carry their
-exp(-t x**2) damping and powers of |x|/max|x| accumulated multiplicatively)
-so intermediates stay inside floating range.
+a series of squares, hence nonnegative term by term.  The odd moments
+depend on the law only through w_a = P(X = a) - P(X = -a) over the
+distinct |x| = a.  The series evaluator keeps them in a rescaled form (one
+state per a carries w_a, its exp(-t a**2) damping and powers of a/max|x|
+accumulated multiplicatively) so intermediates stay inside floating range.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dists import DiscreteDist, _json_number, expect_pair
+from .dists import DiscreteDist, _json_number, _signed_weights, expect_pair
 from .errors import NegativeArgumentError, NonFiniteError
 from .inequality import GapReport, _check_nonneg
 
@@ -157,7 +158,8 @@ def elementary_gap_series(
         raise ValueError(f"t must be > 0, got {t}")
     if n_terms is not None and n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    x_max = max(abs(x) for x, _ in d.atoms)
+    keys, w = _signed_weights(d)
+    x_max = float(keys[-1])
     if x_max == 0.0:
         return SeriesResult(value=0.0, truncation_bound=0.0, n_terms=n_terms or 1)
     z = 2.0 * t * x_max * x_max
@@ -165,19 +167,17 @@ def elementary_gap_series(
         raise NonFiniteError(
             f"2*t*max|x|**2 = {z:g} exceeds {_Z_LIMIT:g}; series coefficients overflow"
         )
-    # Atom states p*sgn(x)*(|x|/x_max)**(2n+1)*exp(-t*x**2), advanced
-    # multiplicatively; their fsum is the rescaled odd moment S_n.
-    states = []
-    ratios2 = []
-    for x, p in d.atoms:
-        rho = abs(x) / x_max
-        states.append(p * math.copysign(rho, x) * math.exp(-t * x * x))
-        ratios2.append(rho * rho)
+    # States w_a*(a/x_max)**(2n+1)*exp(-t*a**2) over the distinct |x| = a,
+    # advanced multiplicatively; their fsum is the rescaled odd moment S_n.
+    # Mirrored atoms meet in w_a first, so they cancel before any sum.
+    rho = keys / x_max
+    states = w * rho * np.array([math.exp(-t * a * a) for a in keys.tolist()])
+    ratios2 = rho * rho
     coef = 2.0 * z  # c_0 = 2*z/1!
     terms = []
     n = 0
     while True:
-        s_n = math.fsum(states)
+        s_n = math.fsum(memoryview(states))
         terms.append(coef * s_n * s_n)
         n += 1
         next_coef = coef * z * z / ((2.0 * n) * (2.0 * n + 1.0))
@@ -191,8 +191,7 @@ def elementary_gap_series(
             if n >= _MAX_TERMS:
                 raise NonFiniteError(f"series did not satisfy stopping rule in {_MAX_TERMS} terms")
         coef = next_coef
-        for i, r2 in enumerate(ratios2):
-            states[i] *= r2
+        states *= ratios2
     ratio = z * z / ((2.0 * n + 2.0) * (2.0 * n + 3.0))
     bound = next_coef / (1.0 - ratio) if ratio < 1.0 else math.inf
     return SeriesResult(value=math.fsum(terms), truncation_bound=bound, n_terms=n)

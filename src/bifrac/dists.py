@@ -12,7 +12,6 @@ uniforms and returns the same stream as ``Generator.choice(xs, size, p=ps)``.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,14 +19,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NegativeArgumentError, NonFiniteError
+from .errors import NonFiniteError
 
 __all__ = [
     "DiscreteDist",
     "Sampler",
     "expect",
     "expect_pair",
-    "tail_functional",
     "dist_from_json",
     "dist_to_json",
     "normal_sampler",
@@ -197,20 +195,12 @@ def expect_pair(d: DiscreteDist, g: Callable[[np.ndarray, np.ndarray], np.ndarra
     return math.fsum(itertools.chain.from_iterable(blocks()))
 
 
-def tail_functional(d: DiscreteDist, r: float) -> float:
-    """P(X > r) - P(X < -r) for r >= 0, exact from atom mass: each tail is
-    the fsum of a slice of the ascending atoms.
-
-    Right-continuous and piecewise constant in r, with breakpoints at the
-    distinct absolute atom values.
-    """
-    if not r >= 0:
-        raise NegativeArgumentError(f"r must be >= 0, got {r}")
-    xs = d.values()
-    ps = d.probs()
-    upper = math.fsum(ps[bisect.bisect_right(xs, r) :])
-    lower = math.fsum(ps[: bisect.bisect_left(xs, -r)])
-    return upper - lower
+def _signed_weights(d: DiscreteDist) -> tuple[np.ndarray, np.ndarray]:
+    """``(keys, w)``: the distinct |x| ascending and w_a = P(X = a) - P(X = -a)
+    on them (0 at a = 0).  The gap of a law depends on it only through w."""
+    xs = np.array(d.values())
+    keys, where = np.unique(np.abs(xs), return_inverse=True)
+    return keys, np.bincount(where, weights=np.array(d.probs()) * np.sign(xs))
 
 
 def dist_from_json(obj) -> DiscreteDist:

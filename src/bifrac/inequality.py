@@ -3,16 +3,19 @@ independent routes.
 
 * exact     -- product double sum over a finite discrete law (any alpha > 0)
 * tail      -- alpha = 1 only: 2 * integral of [P(X>r) - P(X<-r)]**2 dr,
-               evaluated exactly by breakpoint partition
+               a finite sum over the distinct |x| whose integrand values
+               are suffix sums of the signed weights w below
 * variance  -- alpha in (0, 2]: the gap equals 2**alpha times the variance
                of the Gaussian functional built from the (1/2, alpha)
                kernel, the quadratic form w^T R w over the distinct |x|
                with w_a = P(X = a) - P(X = -a)
 * mc        -- paired Monte Carlo estimate for arbitrary samplers
 
-Every E|X+-Y|**alpha goes through expect_pair (numpy pair blocks summed
-by one correctly rounded math.fsum); the terms of w^T R w are summed by
-one math.fsum as well.
+The tail and variance routes read the law only through w
+(dists._signed_weights), so mirrored atoms cancel before any sum.  Every
+E|X+-Y|**alpha goes through expect_pair (numpy pair blocks summed by one
+correctly rounded math.fsum); each suffix sum of w and the terms of each
+route's gap are summed by math.fsum as well.
 
 For alpha in (0, 2] the gap is nonnegative; the exact and variance routes
 assert this up to a floating tolerance and raise InequalityViolationError
@@ -29,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rng import substream
-from .dists import DiscreteDist, Sampler, expect_pair, tail_functional
+from .dists import DiscreteDist, Sampler, _signed_weights, expect_pair
 from .errors import (
     InequalityViolationError,
     InsufficientSamplesError,
@@ -153,14 +156,15 @@ def gap_tail_integral(d: DiscreteDist) -> GapReport:
     """alpha = 1 gap from the squared tail functional.
 
     For a finite law the integrand [P(X>r) - P(X<-r)]**2 is piecewise
-    constant with breakpoints at the distinct |x_i|, so the integral is a
-    finite exact sum of interval length times squared value.
+    constant with breakpoints at the distinct |x|, a_1 < ... < a_k: on
+    [a_{j-1}, a_j) (a_0 = 0) the tail difference is the suffix sum
+    T_j = sum_{i >= j} w_{a_i}.  The integral is the finite sum of interval
+    length times T_j**2, each T_j a math.fsum of w.
     """
-    abs_vals = sorted({abs(x) for x, _ in d.atoms})
-    points = [0.0] + [b for b in abs_vals if b > 0.0]
-    tails = [tail_functional(d, b) for b in points[:-1]]
-    gap = 2.0 * math.fsum((b1 - b0) * tv * tv for b0, b1, tv in zip(points, points[1:], tails))
     law, back = _in_range(d, 1.0)
+    keys, w = _signed_weights(law)
+    tails = np.array([math.fsum(memoryview(w[j:])) for j in range(len(w))])
+    gap = back(2.0 * math.fsum(memoryview(np.diff(keys, prepend=0.0) * tails * tails)))
     e_plus = back(expect_pair(law, lambda u, v: np.abs(u + v)))
     return GapReport(alpha=1.0, e_plus=e_plus, e_minus=e_plus - gap, route="tail")
 
@@ -176,9 +180,7 @@ def gap_via_variance(d: DiscreteDist, alpha: float) -> GapReport:
     if not 0 < alpha <= 2:
         raise OutOfDomainError("0 < alpha <= 2")
     law, back = _in_range(d, alpha)
-    xs = np.array(law.values())
-    keys, where = np.unique(np.abs(xs), return_inverse=True)
-    w = np.bincount(where, weights=np.array(law.probs()) * np.sign(xs))
+    keys, w = _signed_weights(law)
     kmat = cov_matrix(validate_params(0.5, alpha), keys)
     for i, w_i in enumerate(w):
         kmat[i] *= w_i * w

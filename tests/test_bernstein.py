@@ -33,6 +33,30 @@ def elementary_scale(d, t):
     return expect_pair(d, lambda u, v: np.exp(-t * (u - v) ** 2) + np.exp(-t * (u + v) ** 2))
 
 
+def series_per_atom(d, t, n_terms=None):
+    """Reference: the elementary series with one state per atom,
+    p*sgn(x)*(|x|/x_max)**(2n+1)*exp(-t*x**2), so mirrored atoms meet only
+    inside each fsum.  Same coefficients and stopping rule as the library."""
+    x_max = max(abs(x) for x in d.values())
+    z = 2.0 * t * x_max * x_max
+    rhos = [abs(x) / x_max for x in d.values()]
+    states = [p * math.copysign(r, x) * math.exp(-t * x * x) for (x, p), r in zip(d.atoms, rhos)]
+    ratios2 = [r * r for r in rhos]
+    coef, terms, n = 2.0 * z, [], 0
+    while True:
+        s_n = math.fsum(states)
+        terms.append(coef * s_n * s_n)
+        n += 1
+        next_coef = coef * z * z / ((2.0 * n) * (2.0 * n + 1.0))
+        ratio = z * z / ((2.0 * n + 2.0) * (2.0 * n + 3.0))
+        if n == n_terms or (n_terms is None and ratio < 0.5 and next_coef < 1e-16):
+            break
+        coef = next_coef
+        states = [s * r2 for s, r2 in zip(states, ratios2)]
+    bound = next_coef / (1.0 - ratio) if ratio < 1.0 else math.inf
+    return math.fsum(terms), bound, n
+
+
 class TestBernsteinFn:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -231,6 +255,27 @@ class TestElementarySeries:
             # routes carry ~eps-level noise of their own
             assert abs(res.value - direct) <= res.truncation_bound + 1e-13 * scale
             assert abs(res.value - direct) <= 1e-10 * scale
+
+    def test_matches_per_atom_states_bitwise_without_mirrored_atoms(self):
+        # with no pair x, -x each state is one atom's, as in the reference
+        rng = np.random.default_rng(49)
+        for i in range(200):
+            d = random_dist(rng, max_atoms=12, lo=-3.0, hi=3.0)
+            if i % 2:
+                d = DiscreteDist([(x, 0.75 * p) for x, p in d.atoms] + [(0.0, 0.25)])
+            assert not {x for x in d.values() if x} & {-x for x in d.values()}
+            t = float(rng.uniform(0.01, 5.0))
+            n_terms = None if i % 3 else int(rng.integers(1, 20))
+            assert tuple(elementary_gap_series(d, t, n_terms)) == series_per_atom(d, t, n_terms)
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-7, 1e-10])
+    def test_mirrored_pair_without_cancellation(self, delta):
+        # oracle: for {(-a, q), (a, p)} the gap is (p - q)**2 * (1 - e**(-4ta**2))
+        for a, t in ((1.0, 0.5), (0.3, 2.0), (4.0, 0.1)):
+            d = DiscreteDist([(-a, 0.5 - delta), (a, 0.5 + delta)])
+            q, p = d.probs()
+            closed = -((p - q) ** 2) * math.expm1(-4.0 * t * a * a)
+            assert elementary_gap_series(d, t).value == pytest.approx(closed, rel=1e-13, abs=0.0)
 
     def test_partial_sums_nondecreasing(self):
         d = DiscreteDist([(-2.0, 0.25), (0.5, 0.5), (3.0, 0.25)])

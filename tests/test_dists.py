@@ -14,10 +14,8 @@ from bifrac import (
     expect,
     expect_pair,
     normal_sampler,
-    tail_functional,
 )
 from bifrac._rng import substream
-from bifrac.errors import NegativeArgumentError
 
 from _support import random_dist
 
@@ -126,47 +124,6 @@ class TestExpectPair:
                 oracle = math.fsum(w * val for w, val in product_atoms)
                 scale = math.fsum(abs(w * val) for w, val in product_atoms)
                 assert abs(expect_pair(d, g) - oracle) <= 1e-14 * max(scale, 1.0)
-
-
-class TestTailFunctional:
-    def test_basic(self):
-        d = DiscreteDist([(0.0, 0.5), (1.0, 0.5)])
-        # oracle: P(X > 0.5) = 0.5, P(X < -0.5) = 0
-        assert tail_functional(d, 0.5) == 0.5
-
-    def test_symmetric_law_vanishes(self):
-        d = DiscreteDist([(-1.0, 0.5), (1.0, 0.5)])
-        for r in (0.0, 0.3, 1.0, 2.0):
-            assert tail_functional(d, r) == 0.0
-
-    def test_beyond_support(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            d = random_dist(rng)
-            r = max(abs(x) for x in d.values()) + 1.0
-            assert tail_functional(d, r) == 0.0
-
-    def test_negative_r_rejected(self):
-        with pytest.raises(NegativeArgumentError):
-            tail_functional(DiscreteDist([(1.0, 1.0)]), -0.1)
-
-    def test_nan_r_rejected(self):
-        with pytest.raises(NegativeArgumentError):
-            tail_functional(DiscreteDist([(1.0, 1.0)]), math.nan)
-
-    def test_piecewise_structure(self):
-        # Constant on each interval between consecutive distinct |x|,
-        # so the function takes (number of distinct |x|) + 1 pieces.
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            d = random_dist(rng)
-            breaks = sorted({abs(x) for x in d.values()})
-            points = [0.0] + [b for b in breaks if b > 0]
-            for lo, hi in zip(points, points[1:]):
-                v_lo = tail_functional(d, lo)
-                mid = lo + 0.5 * (hi - lo)
-                assert tail_functional(d, mid) == v_lo
-            assert tail_functional(d, points[-1]) == 0.0
 
 
 def _sampled_law(k: int, shape: str, seed: int) -> DiscreteDist:

@@ -123,6 +123,18 @@ class TestGapTailIntegral:
         assert r.gap == 2.0 * c
         assert r.gap == gap_exact(d, 1.0).gap
 
+    def test_point_mass_at_zero(self):
+        # the only distinct |x| is 0, so the integral has no interval
+        r = gap_tail_integral(DiscreteDist([(0.0, 1.0)]))
+        assert r.gap == 0.0 and r.e_plus == 0.0
+
+    def test_reflection_invariant_bitwise(self):
+        # X -> -X flips every signed weight; the squared tails do not move
+        rng = np.random.default_rng(36)
+        for _ in range(100):
+            d = random_dist(rng)
+            assert gap_tail_integral(d.scaled(-1.0)).gap == gap_tail_integral(d).gap
+
     def test_agrees_with_exact_route(self):
         rng = np.random.default_rng(35)
         for _ in range(300):

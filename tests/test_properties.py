@@ -8,6 +8,7 @@ the suite stays fast and every run checks the same inputs.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -86,6 +87,26 @@ def test_exact_and_tail_routes_agree(d):
     tail = gap_tail_integral(d)
     assert tail.e_plus == exact.e_plus
     assert abs(tail.gap - exact.gap) <= REL_TOL * (exact.e_plus + exact.e_minus)
+
+
+def exact_gap(d, alpha):
+    """The gap in rational arithmetic on the float atoms: the pair sum of
+    p_i p_j (|x_i + x_j| - |x_i - x_j|) at alpha = 1, 4 (E X)**2 at alpha = 2."""
+    atoms = [(Fraction(x), Fraction(p)) for x, p in d.atoms]
+    if alpha == 2.0:
+        return 4 * sum(p * x for x, p in atoms) ** 2
+    return sum(p * q * (abs(x + y) - abs(x - y)) for x, p in atoms for y, q in atoms)
+
+
+@_settings(60)
+@given(hard_laws(), st.sampled_from((1.0, 2.0)))
+def test_routes_match_exact_rational_gap(d, alpha):
+    oracle = exact_gap(d, alpha)
+    reports = [gap_exact(d, alpha), gap_via_variance(d, alpha)]
+    if alpha == 1.0:
+        reports.append(gap_tail_integral(d))
+    for r in reports:
+        assert abs(Fraction(r.gap) - oracle) <= 4 * math.ulp(r.e_plus), r.route
 
 
 @_settings(40)
