@@ -60,6 +60,6 @@ from .inequality import (
     gap_via_variance,
     supnorm_bound,
 )
-from .kernel import BifParams, TimeGrid, cov, cov_matrix, sgn, signed_identity_lhs, validate_params
+from .kernel import BifParams, TimeGrid, cov, cov_matrix, signed_identity_lhs, validate_params
 
 __version__ = "0.1.0"

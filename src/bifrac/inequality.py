@@ -105,6 +105,16 @@ def _check_nonneg(value: float, scale: float, what: str) -> None:
         )
 
 
+def _signed_form(w: np.ndarray, table: np.ndarray, what: str) -> float:
+    """w^T table w, checked >= 0.  ``table`` is scaled in place to the terms
+    w_i*table[i, j]*w_j, summed by one math.fsum; the tolerance scale is the
+    numpy sum of their absolute values (no cancellation, so no fsum needed)."""
+    table *= np.outer(w, w)
+    value = math.fsum(memoryview(table.ravel()))
+    _check_nonneg(value, float(np.abs(table, out=table).sum()), what)
+    return value
+
+
 def _in_range(d: DiscreteDist, alpha: float):
     """``(law, back)`` for moments of degree alpha, such as E|X+Y|**alpha.
 
@@ -181,12 +191,7 @@ def gap_via_variance(d: DiscreteDist, alpha: float) -> GapReport:
         raise OutOfDomainError("0 < alpha <= 2")
     law, back = _in_range(d, alpha)
     keys, w = _signed_weights(law)
-    kmat = cov_matrix(validate_params(0.5, alpha), keys)
-    for i, w_i in enumerate(w):
-        kmat[i] *= w_i * w
-    var = math.fsum(memoryview(kmat.ravel()))
-    scale = math.fsum(memoryview(np.abs(kmat, out=kmat).ravel()))
-    _check_nonneg(var, scale, "Var of kernel functional")
+    var = _signed_form(w, cov_matrix(validate_params(0.5, alpha), keys), "Var of kernel functional")
     gap = back(2.0**alpha * var)
     e_plus = back(expect_pair(law, lambda u, v: np.abs(u + v) ** alpha))
     return GapReport(alpha=alpha, e_plus=e_plus, e_minus=e_plus - gap, route="variance")

@@ -32,7 +32,6 @@ __all__ = [
     "cov",
     "cov_matrix",
     "signed_identity_lhs",
-    "sgn",
 ]
 
 
@@ -196,20 +195,11 @@ def _check_times(ts) -> None:
             raise NegativeTimeError(f"times must be >= 0, got {t}")
 
 
-def sgn(x: float) -> float:
-    """Sign of x with sgn(0) = 0."""
-    if x > 0:
-        return 1.0
-    if x < 0:
-        return -1.0
-    return 0.0
-
-
 def signed_identity_lhs(u: float, v: float, alpha: float) -> float:
     """|u+v|**alpha - |u-v|**alpha for real u, v and 0 < alpha <= 2.
 
     For all real u, v this equals 2**alpha * cov((1/2, alpha), |u|, |v|)
-    * sgn(u) * sgn(v), which is the bridge between the moment gap and the
+    * sign(u) * sign(v), which is the bridge between the moment gap and the
     kernel with H = 1/2, K = alpha.
     """
     if not (math.isfinite(u) and math.isfinite(v)):

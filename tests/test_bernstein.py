@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import bifrac.bernstein
 from bifrac import (
     BernsteinFn,
     DiscreteDist,
@@ -158,6 +159,12 @@ class TestEvalF:
         with pytest.raises(NegativeArgumentError):
             eval_f(BernsteinFn(a=0.0, b=1.0), math.nan)
 
+    def test_no_linear_term_at_overflowing_lam(self):
+        # lam**2 overflows; with b = 0 there is no 0 * inf, so F = a + w
+        g = BernsteinFn(a=0.5, b=0.0, mu=((0.7, 1.2),))
+        assert eval_f(g, 1e200) == 1.7
+        assert eval_g(g, math.inf) == 1.7
+
 
 class TestBernsteinGap:
     def test_square_matches_alpha_two(self):
@@ -199,6 +206,62 @@ class TestBernsteinGap:
             )
             tol = 1e-14 * (e_plus + e_minus)
             assert abs(r.e_plus - e_plus) <= tol and abs(r.e_minus - e_minus) <= tol
+
+    def test_one_pair_pass(self, monkeypatch):
+        calls = []
+
+        def counted(d, g):
+            calls.append(g)
+            return expect_pair(d, g)
+
+        monkeypatch.setattr(bifrac.bernstein, "expect_pair", counted)
+        d = DiscreteDist([(-2.0, 0.2), (-1.0, 0.3), (0.0, 0.1), (1.0, 0.15), (3.0, 0.25)])
+        bernstein_gap_exact(d, BernsteinFn(a=0.5, b=1.0, mu=((0.3, 2.0), (4.0, 0.5))))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-7, 1e-10])
+    @pytest.mark.parametrize("t", [0.05, 0.5])
+    @pytest.mark.parametrize("a", [0.3, 1.0, 3.0])
+    def test_mirrored_pair_form_without_cancellation(self, monkeypatch, a, t, delta):
+        # oracle: for {(-a, q), (a, p)} the form is w**2 * T(a, a) with
+        # w = p - q and T(a, a) = -omega * expm1(-4ta**2)
+        forms = []
+
+        def recorded(*args):
+            forms.append(form(*args))
+            return forms[-1]
+
+        form = bifrac.bernstein._signed_form
+        monkeypatch.setattr(bifrac.bernstein, "_signed_form", recorded)
+        omega = 1.3
+        d = DiscreteDist([(-a, 0.5 - delta), (a, 0.5 + delta)])
+        q, p = d.probs()
+        bernstein_gap_exact(d, BernsteinFn(a=0.0, b=0.0, mu=((t, omega),)))
+        closed = -omega * (p - q) ** 2 * math.expm1(-4.0 * t * a * a)
+        assert forms == [pytest.approx(closed, rel=1e-13, abs=0.0)]
+
+    def test_beyond_series_range(self):
+        # 2*t*max|x|**2 = 50000 makes the series raise; exp(-t(a-b)**2)
+        # underflows to 0 off the diagonal and expm1 is -1 on it
+        d = DiscreteDist([(-50.0, 0.25), (50.0, 0.5), (100.0, 0.25)])
+        with pytest.raises(NonFiniteError):
+            elementary_gap_series(d, 5.0)
+        r = bernstein_gap_exact(d, BernsteinFn(a=0.0, b=0.0, mu=((5.0, 1.0),)))
+        assert r.gap == pytest.approx(0.25**2 + 0.25**2, rel=1e-15)
+
+    def test_huge_atoms_with_b_zero(self):
+        # (2e199)**2 overflows, but F <= a + sum(omega) is bounded
+        d = DiscreteDist([(3e200, 0.3), (-1e199, 0.3), (1.0, 0.4)])
+        g = BernsteinFn(a=0.5, b=0.0, mu=((0.7, 1.2), (1e-3, 0.4)))
+        r = bernstein_gap_exact(d, g)
+        e_plus = math.fsum(
+            p1 * p2 * eval_f(g, abs(x1 + x2)) for x1, p1 in d.atoms for x2, p2 in d.atoms
+        )
+        e_minus = math.fsum(
+            p1 * p2 * eval_f(g, abs(x1 - x2)) for x1, p1 in d.atoms for x2, p2 in d.atoms
+        )
+        assert r.e_plus == e_plus
+        assert r.e_minus == pytest.approx(e_minus, rel=1e-15)
 
     def test_decomposition_linearity(self):
         # gap(G) = b * alpha2-gap + sum_i w_i * elementary gap at t_i

@@ -20,7 +20,8 @@ from bifrac import (
     SearchExhaustedError,
     dist_to_json,
 )
-from bifrac import cli
+import bifrac.inequality
+from bifrac import cli, cov_matrix
 from bifrac.cli import main, render_json
 
 from _support import strict_json
@@ -235,6 +236,13 @@ class TestGap:
         r = run_cli("gap", "-d", str(tmp_path / "none.json"), "--alpha", "1", "--route", "exact")
         assert r.returncode == 2
 
+    def test_negative_variance_exits_3(self, monkeypatch, capsys, dist_file):
+        monkeypatch.setattr(bifrac.inequality, "cov_matrix", lambda p, ts: -cov_matrix(p, ts))
+        assert main(["gap", "-d", dist_file, "--alpha", "1", "--route", "variance"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Var of kernel functional")
+
     def test_workers_do_not_change_output(self, dist_file):
         base = run_cli(
             "gap", "-d", dist_file, "--alpha", "1", "--route", "mc",
@@ -281,6 +289,16 @@ class TestBernsteinGapCmd:
         g.write_text(json.dumps({"a": 2.0, "b": 0.0, "mu": []}))
         out = json.loads(run_cli("bernstein-gap", "-d", dist_file, "-g", str(g)).stdout)
         assert out["gap"] == 0.0
+
+    def test_huge_atoms_with_b_zero(self, tmp_path, capsys):
+        # (2e199)**2 overflows in F, but with b = 0 F stays below a + sum(w)
+        d = tmp_path / "d.json"
+        d.write_text(json.dumps(dist_to_json(DiscreteDist([(3e200, 0.3), (-1e199, 0.3), (1.0, 0.4)]))))
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"a": 0.5, "b": 0.0, "mu": [{"t": 0.7, "w": 1.2}, {"t": 1e-3, "w": 0.4}]}))
+        assert main(["bernstein-gap", "-d", str(d), "-g", str(g)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["e_plus"], out["e_minus"]) == (2.0245799566579428, 1.556)
 
     def test_malformed_bernstein_exits_2(self, dist_file, tmp_path):
         g = tmp_path / "g.json"

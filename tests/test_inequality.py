@@ -7,11 +7,13 @@ import bifrac.inequality
 from bifrac import (
     BifParams,
     DiscreteDist,
+    InequalityViolationError,
     InsufficientSamplesError,
     NonFiniteError,
     OutOfDomainError,
     Sampler,
     cov,
+    cov_matrix,
     expect,
     expect_pair,
     gap_exact,
@@ -213,6 +215,19 @@ class TestGapViaVariance:
         r = gap_via_variance(d, 1.3)
         assert len(calls) == 1
         assert abs(r.gap - gap_exact(d, 1.3).gap) <= 1e-15
+
+
+class TestNonnegativityChecks:
+    def test_signed_form_raises_on_negative_form(self):
+        # w^T T w = -2 for w = (1, -1) and T = [[0, 1], [1, 0]]
+        table = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(InequalityViolationError):
+            bifrac.inequality._signed_form(np.array([1.0, -1.0]), table, "form")
+
+    def test_variance_route_raises_on_negated_kernel(self, monkeypatch):
+        monkeypatch.setattr(bifrac.inequality, "cov_matrix", lambda p, ts: -cov_matrix(p, ts))
+        with pytest.raises(InequalityViolationError):
+            gap_via_variance(D01, 1.0)
 
 
 class TestOverflowBeforeWeighting:

@@ -12,7 +12,6 @@ from bifrac import (
     cov,
     cov_matrix,
     sample_paths,
-    sgn,
     signed_identity_lhs,
     validate_params,
 )
@@ -244,25 +243,20 @@ class TestSignedIdentity:
         with pytest.raises(OutOfDomainError):
             signed_identity_lhs(1.0, 1.0, 0.0)
 
-    def test_sgn_convention(self):
-        assert sgn(0.0) == 0.0
-        assert sgn(3.5) == 1.0
-        assert sgn(-0.1) == -1.0
-
     def test_identity_bridge(self):
-        # |u+v|^a - |u-v|^a == 2^a * R_{1/2,a}(|u|,|v|) * sgn(u) * sgn(v)
+        # |u+v|^a - |u-v|^a == 2^a * R_{1/2,a}(|u|,|v|) * sign(u) * sign(v)
         rng = np.random.default_rng(105)
         for _ in range(500):
             u = rng.uniform(-20.0, 20.0)
             v = rng.uniform(-20.0, 20.0)
             a = rng.uniform(1e-3, 2.0)
             lhs = signed_identity_lhs(u, v, a)
-            rhs = 2.0**a * cov(validate_params(0.5, a), abs(u), abs(v)) * sgn(u) * sgn(v)
+            rhs = 2.0**a * cov(validate_params(0.5, a), abs(u), abs(v)) * np.sign(u) * np.sign(v)
             scale = abs(u + v) ** a + abs(u - v) ** a
             assert abs(lhs - rhs) <= 1e-10 * max(scale, 1.0)
         # zero arguments vanish on both sides
         assert signed_identity_lhs(0.0, 3.0, 1.5) == 0.0
-        assert cov(validate_params(0.5, 1.5), 0.0, 3.0) * sgn(0.0) == 0.0
+        assert cov(validate_params(0.5, 1.5), 0.0, 3.0) * np.sign(0.0) == 0.0
 
 
 class TestTimeGrid:
