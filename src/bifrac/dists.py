@@ -3,7 +3,7 @@
 DiscreteDist is the exact-computation workhorse: expectations are weighted
 sums taken with ``math.fsum``, which is correctly rounded and independent of
 summation order, so every result is reproducible to the bit.  expect_pair,
-the pair primitive of the exact gap routes, works on numpy pair blocks.
+the pair primitive of the exact gap routes, sums pair blocks by _exact_sum.
 
 DiscreteDist.sampler draws through a guide table (Chen & Asau 1974;
 Devroye 1986, section III.2.4) built once per sampler.  It reads the same
@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ __all__ = [
 _SUM_TOL = 1e-12
 
 # Pairs per block of the x_i by x_j table in expect_pair (at least one row),
-# so its memory does not grow with k**2.
+# so its memory does not grow with k**2; values per chunk in _exact_sum.
 PAIR_BLOCK = 1 << 15
 
 # Largest bucket count of the guide table in DiscreteDist.sampler (about
@@ -167,8 +167,8 @@ def expect(d: DiscreteDist, f: Callable[[float], float]) -> float:
 
 
 def expect_pair(d: DiscreteDist, g: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
-    """E g(X, Y) for independent copies X, Y: one streaming math.fsum of
-    p_i * p_j * g(x_i, x_j) over all atom pairs, so it is correctly rounded.
+    """E g(X, Y) for independent copies X, Y: the math.fsum of
+    p_i * p_j * g(x_i, x_j) over all atom pairs, by :func:`_exact_sum`.
 
     ``g`` gets numpy row blocks of the x_i by x_j table, ``u`` of shape
     (r, 1) and ``v`` of shape (1, k) with r*k about PAIR_BLOCK, and returns
@@ -190,9 +190,33 @@ def expect_pair(d: DiscreteDist, g: Callable[[np.ndarray, np.ndarray], np.ndarra
             if bad.any():
                 i, j = np.argwhere(bad)[0]
                 raise NonFiniteError(f"g({xs[lo + i]}, {xs[j]}) is not finite")
-            yield memoryview(terms.ravel())
+            yield terms.ravel()
 
-    return math.fsum(itertools.chain.from_iterable(blocks()))
+    return _exact_sum(blocks())
+
+
+def _exact_sum(blocks: Iterable[np.ndarray]) -> float:
+    """``math.fsum`` of the concatenated 1-D float64 blocks, bit for bit.
+
+    Each x in a chunk of at most PAIR_BLOCK values is h + l, h its 27 leading
+    significant bits.  With biased exponent e (read 1 for 0), h is a multiple
+    of 2**(e-1049) below 2**(e-1022) and l one of 2**(e-1075) below
+    2**(e-1049), so per-e sums of up to 2**26 of them are exact and one fsum
+    rounds their total.  fsum's overflow check depends on order, so from the
+    first chunk with inf, NaN or |x| >= 2**960 on, values pass as they are."""
+    def parts():
+        chunks = (x for b in blocks for x in np.split(b, range(PAIR_BLOCK, b.size, PAIR_BLOCK)))
+        for x in chunks:
+            e = x.view(np.int64) >> 52 & 0x7FF
+            if e.max(initial=0) >= 1023 + 960:
+                yield x
+                yield from chunks
+                return
+            h = (x.view(np.int64) & -(1 << 26)).view(np.float64)
+            hs, ls = np.bincount(e, weights=h), np.bincount(e, weights=x - h)
+            yield from (hs[hs != 0], ls[ls != 0])
+
+    return math.fsum(itertools.chain.from_iterable(map(memoryview, parts())))
 
 
 def _signed_weights(d: DiscreteDist) -> tuple[np.ndarray, np.ndarray]:

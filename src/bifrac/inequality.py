@@ -13,9 +13,9 @@ independent routes.
 
 The tail and variance routes read the law only through w
 (dists._signed_weights), so mirrored atoms cancel before any sum.  Every
-E|X+-Y|**alpha goes through expect_pair (numpy pair blocks summed by one
-correctly rounded math.fsum); each suffix sum of w and the terms of each
-route's gap are summed by math.fsum as well.
+E|X+-Y|**alpha goes through expect_pair and the variance form through
+_signed_form, which sum their pair tables by dists._exact_sum: one correctly
+rounded math.fsum.  Suffix sums of w are exact integer sums rounded once.
 
 For alpha in (0, 2] the gap is nonnegative; the exact and variance routes
 assert this up to a floating tolerance and raise InequalityViolationError
@@ -24,6 +24,7 @@ if it fails, since that indicates a defect rather than mathematics.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rng import substream
-from .dists import DiscreteDist, Sampler, _signed_weights, expect_pair
+from .dists import DiscreteDist, Sampler, _exact_sum, _signed_weights, expect_pair
 from .errors import (
     InequalityViolationError,
     InsufficientSamplesError,
@@ -107,10 +108,10 @@ def _check_nonneg(value: float, scale: float, what: str) -> None:
 
 def _signed_form(w: np.ndarray, table: np.ndarray, what: str) -> float:
     """w^T table w, checked >= 0.  ``table`` is scaled in place to the terms
-    w_i*table[i, j]*w_j, summed by one math.fsum; the tolerance scale is the
-    numpy sum of their absolute values (no cancellation, so no fsum needed)."""
+    w_i*table[i, j]*w_j, summed by :func:`_exact_sum` (one math.fsum); the
+    tolerance scale is the numpy sum of their absolute values (no cancellation)."""
     table *= np.outer(w, w)
-    value = math.fsum(memoryview(table.ravel()))
+    value = _exact_sum([table.ravel()])
     _check_nonneg(value, float(np.abs(table, out=table).sum()), what)
     return value
 
@@ -169,11 +170,13 @@ def gap_tail_integral(d: DiscreteDist) -> GapReport:
     constant with breakpoints at the distinct |x|, a_1 < ... < a_k: on
     [a_{j-1}, a_j) (a_0 = 0) the tail difference is the suffix sum
     T_j = sum_{i >= j} w_{a_i}.  The integral is the finite sum of interval
-    length times T_j**2, each T_j a math.fsum of w.
+    length times T_j**2, each T_j the correctly rounded (math.fsum) value.
     """
     law, back = _in_range(d, 1.0)
     keys, w = _signed_weights(law)
-    tails = np.array([math.fsum(memoryview(w[j:])) for j in range(len(w))])
+    unit = 1 << 1074  # every double is an integer multiple of 2**-1074
+    units = [n * unit // m for n, m in map(float.as_integer_ratio, w.tolist())]
+    tails = np.array([t / unit for t in itertools.accumulate(reversed(units))][::-1])
     gap = back(2.0 * math.fsum(memoryview(np.diff(keys, prepend=0.0) * tails * tails)))
     e_plus = back(expect_pair(law, lambda u, v: np.abs(u + v)))
     return GapReport(alpha=1.0, e_plus=e_plus, e_minus=e_plus - gap, route="tail")
@@ -203,7 +206,9 @@ def _mc_chunk(s: Sampler, alpha: float, seed: int, chunk: int, size: int):
     ap = np.abs(x + y) ** alpha
     am = np.abs(x - y) ** alpha
     dv = ap - am
-    return float(np.sum(ap)), float(np.sum(am)), float(np.sum(dv)), float(np.sum(dv * dv))
+    sum_d = float(np.sum(dv))
+    dv -= sum_d / size
+    return float(np.sum(ap)), float(np.sum(am)), sum_d, float(np.sum(dv * dv))
 
 
 def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> GapReport:
@@ -237,15 +242,16 @@ def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> Gap
             )
     else:
         partials = [_mc_chunk(s, alpha, seed, c, size) for c, size in enumerate(sizes)]
-    sum_p, sum_m, sum_d, sum_d2 = (math.fsum(column) for column in zip(*partials))
-    var_d = max(0.0, (sum_d2 - sum_d * sum_d / n) / (n - 1))
+    sum_p, sum_m, sum_d, within = (math.fsum(column) for column in zip(*partials))
+    # Squared deviations within the chunks plus between them (Chan et al.).
+    between = math.fsum((c[2] - m * sum_d / n) ** 2 / m for c, m in zip(partials, sizes))
     return GapReport(
         alpha=alpha,
         e_plus=sum_p / n,
         e_minus=sum_m / n,
         route="mc",
         n=n,
-        stderr=math.sqrt(var_d / n),
+        stderr=math.sqrt((within + between) / (n - 1) / n),
     )
 
 

@@ -22,6 +22,8 @@ from bifrac import (
     gap_via_variance,
     supnorm_bound,
 )
+from bifrac._rng import substream
+from bifrac.inequality import MC_CHUNK
 
 from _support import mirrored_support_dist, random_dist, symmetric_dist
 
@@ -272,6 +274,21 @@ class TestGapMc:
         r = gap_mc(one, 1.0, 100, seed=0)
         assert r.gap == 2.0 and r.stderr == 0.0
         assert r.n == 100 and r.route == "mc"
+
+    def test_stderr_of_low_variance_difference(self):
+        # d = |X+Y| - |X-Y| varies by about 1e-8 around a mean of about 1; its
+        # variance is checked against numpy's two-pass variance of the draws.
+        d = DiscreteDist([(1.0, 0.5), (1.0 + 1e-8, 0.5)])
+        s, n = d.sampler(), 200_000
+        diffs = []
+        for c, start in enumerate(range(0, n, MC_CHUNK)):
+            size = min(MC_CHUNK, n - start)
+            x, y = s.draw(substream(7, 0, c), size), s.draw(substream(7, 1, c), size)
+            diffs.append(np.abs(x + y) - np.abs(x - y))
+        reference = math.sqrt(np.var(np.concatenate(diffs), ddof=1) / n)
+        r = gap_mc(s, 1.0, n, seed=7)
+        assert r.stderr == pytest.approx(reference, rel=1e-6)
+        assert r == gap_mc(s, 1.0, n, seed=7, workers=2)
 
     def test_symmetric_law_near_zero(self):
         from bifrac import normal_sampler

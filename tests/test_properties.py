@@ -7,10 +7,13 @@ each optionally with an atom at 0.  Examples are derandomized and capped so
 the suite stays fast and every run checks the same inputs.
 """
 
+import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +29,8 @@ from bifrac import (
     gap_tail_integral,
     gap_via_variance,
 )
+from bifrac.dists import PAIR_BLOCK, _exact_sum, _signed_weights
+from bifrac.inequality import _in_range
 
 REL_TOL = 1e-12
 
@@ -87,6 +92,19 @@ def test_exact_and_tail_routes_agree(d):
     tail = gap_tail_integral(d)
     assert tail.e_plus == exact.e_plus
     assert abs(tail.gap - exact.gap) <= REL_TOL * (exact.e_plus + exact.e_minus)
+
+
+@_settings(60)
+@given(hard_laws())
+def test_tail_suffix_sums_match_per_suffix_fsum(d):
+    # The route before its suffix sums became exact integer sums: one
+    # math.fsum per suffix of w, which is correctly rounded as well.
+    law, back = _in_range(d, 1.0)
+    keys, w = _signed_weights(law)
+    tails = np.array([math.fsum(w[j:].tolist()) for j in range(len(w))])
+    gap = back(2.0 * math.fsum((np.diff(keys, prepend=0.0) * tails * tails).tolist()))
+    r = gap_tail_integral(d)
+    assert r.e_minus.hex() == (r.e_plus - gap).hex()
 
 
 def exact_gap(d, alpha):
@@ -164,3 +182,66 @@ def test_cov_matrix_equals_scalar_cov_bitwise(ts, H, K):
     p = BifParams(H, K)
     reference = np.array([[cov(p, t, s) for s in ts] for t in ts])
     assert np.array_equal(cov_matrix(p, ts), reference)
+
+
+def _fsum_outcome(summer, blocks):
+    """The bits of the sum, "nan", or the type of the exception raised."""
+    try:
+        value = summer(blocks)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return "nan" if math.isnan(value) else value.hex()
+
+
+def _reference_fsum(blocks):
+    return math.fsum(itertools.chain.from_iterable(b.tolist() for b in blocks))
+
+
+DBL_MAX = sys.float_info.max
+doubles = st.one_of(
+    st.floats(),  # the full range with subnormals, +-0, NaN and +-inf
+    st.floats(-sys.float_info.min, sys.float_info.min),
+    st.floats(DBL_MAX * (1.0 - 2.0**-10), DBL_MAX).flatmap(lambda x: st.sampled_from((x, -x))),
+    st.floats(-1e6, 1e6),
+)
+
+
+@st.composite
+def float_blocks(draw):
+    blocks = draw(st.lists(st.lists(doubles, max_size=12), max_size=5))
+    if draw(st.booleans()):  # mirrored pairs that cancel exactly
+        flat = [x for b in blocks for x in b]
+        order = draw(st.permutations(range(len(flat))))
+        blocks.append([-flat[i] for i in order])
+    return [np.array(b, dtype=np.float64) for b in blocks]
+
+
+@_settings(400)
+@given(float_blocks())
+def test_exact_sum_is_fsum(blocks):
+    assert _fsum_outcome(_exact_sum, blocks) == _fsum_outcome(_reference_fsum, blocks)
+
+
+@pytest.mark.parametrize(
+    "values, outcome",
+    [
+        ([1e308, -8.9e307, 1e308], (1.1100000000000001e308).hex()),
+        ([1.7e308, 1.7e308], OverflowError),
+        ([math.inf, -math.inf], ValueError),
+    ],
+)
+def test_exact_sum_edge_cases(values, outcome):
+    blocks = [np.array(values)]
+    assert _fsum_outcome(_exact_sum, blocks) == _fsum_outcome(_reference_fsum, blocks) == outcome
+
+
+@pytest.mark.parametrize("big", [[], [1e308, -8.9e307, 1e308], [1.7e308, 1.7e308], [math.nan]])
+def test_exact_sum_splits_long_blocks(big):
+    # Bin sums are exact only over at most 2**26 values, so a block longer
+    # than the chunk is summed chunk by chunk; from the chunk holding ``big``
+    # on, every value goes to fsum in order.
+    assert PAIR_BLOCK <= 2**26
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(3 * PAIR_BLOCK + 7) * 10.0 ** rng.integers(-300, 300, 3 * PAIR_BLOCK + 7)
+    blocks = [np.concatenate([x, big, -x[::-1] * (1.0 + 1e-15)])]
+    assert _fsum_outcome(_exact_sum, blocks) == _fsum_outcome(_reference_fsum, blocks)
