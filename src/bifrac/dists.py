@@ -6,8 +6,11 @@ summation order, so every result is reproducible to the bit.  expect_pair,
 the pair primitive of the exact gap routes, sums pair blocks by _exact_sum.
 
 DiscreteDist.sampler draws through a guide table (Chen & Asau 1974;
-Devroye 1986, section III.2.4) built once per sampler.  It reads the same
-uniforms and returns the same stream as ``Generator.choice(xs, size, p=ps)``.
+Devroye 1986, section III.2.4) built once per sampler: one table of atom
+values over G buckets of [0, 1), NaN in the buckets that hold a CDF
+breakpoint.  G is a power of two, so scaling the uniforms and the CDF by G is
+exact.  It reads the same uniforms and returns the same stream as
+``Generator.choice(xs, size, p=ps)``.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ _SUM_TOL = 1e-12
 # so its memory does not grow with k**2; values per chunk in _exact_sum.
 PAIR_BLOCK = 1 << 15
 
-# Largest bucket count of the guide table in DiscreteDist.sampler (about
-# 9 MB of table), so its memory stops growing with k past 2**15 atoms.
+# Largest bucket count of the guide table in DiscreteDist.sampler (8 MB of
+# float64 values), so its memory stops growing with k past 2**15 atoms.
 GUIDE_BUCKETS_MAX = 1 << 20
 
 
@@ -111,27 +114,29 @@ class DiscreteDist:
         Like ``Generator.choice``, a draw is ``cdf.searchsorted(u, "right")``
         for u = ``rng.random(size)``, with the CDF normalized the same way.
         Bucket b of a guide table holds the u in [b/G, (b+1)/G); where no CDF
-        breakpoint falls inside it, every such u has the same index, read
-        from the table.  Only draws in the other buckets (at most k of the
-        G) are searched.  G is the least power of two >= 32k, capped at
-        GUIDE_BUCKETS_MAX; as a power of two it makes ``u * G`` and the
-        bucket edges exact.
+        breakpoint falls inside it, every such u draws the same atom, whose
+        value the table holds.  The other buckets (at most k of the G) hold
+        NaN, which no atom is, and only their draws are searched.  G is the
+        least power of two >= 32k, capped at GUIDE_BUCKETS_MAX; as a power of
+        two it scales u and the CDF exactly, so ``u * G`` is searched in
+        ``cdf * G`` with every comparison unchanged.
         """
         xs = np.array(self.values(), dtype=np.float64)
         cdf = np.array(self.probs(), dtype=np.float64).cumsum()
         cdf /= cdf[-1]
         buckets = min(1 << (32 * len(cdf) - 1).bit_length(), GUIDE_BUCKETS_MAX)
         start = cdf.searchsorted(np.arange(buckets + 1) / buckets, side="right")
-        guide = start[:-1]
-        ambiguous = start[1:] != start[:-1]
+        # start[b] <= k - 1 for b < G, since cdf[-1] == 1.0 > b/G.
+        vals = np.where(start[1:] == start[:-1], xs[start[:-1]], np.nan)
+        cdf *= buckets
 
         def draw(rng: np.random.Generator, size: int) -> np.ndarray:
             u = rng.random(size)
-            b = (u * buckets).astype(np.intp)
-            idx = guide[b]
-            m = ambiguous[b]
-            idx[m] = cdf.searchsorted(u[m], side="right")
-            return xs[idx]
+            u *= buckets
+            out = vals[u.astype(np.intp)]
+            j = np.flatnonzero(np.isnan(out))
+            out[j] = xs[cdf.searchsorted(u[j], side="right")]
+            return out
 
         return Sampler(draw=draw, moment_hint=math.inf)
 

@@ -201,14 +201,26 @@ def gap_via_variance(d: DiscreteDist, alpha: float) -> GapReport:
 
 
 def _mc_chunk(s: Sampler, alpha: float, seed: int, chunk: int, size: int):
+    """``(sum ap, sum am, sum dv, sum (dv - mean dv)**2)`` over one chunk of
+    pairs, with ap = |x+y|**alpha, am = |x-y|**alpha and dv = ap - am.
+
+    Overflow is not warned about here but reported by gap_mc; the errstate is
+    set in this function because pool threads do not inherit the caller's.
+    """
     x = s.draw(substream(seed, 0, chunk), size)
     y = s.draw(substream(seed, 1, chunk), size)
-    ap = np.abs(x + y) ** alpha
-    am = np.abs(x - y) ** alpha
-    dv = ap - am
-    sum_d = float(np.sum(dv))
-    dv -= sum_d / size
-    return float(np.sum(ap)), float(np.sum(am)), sum_d, float(np.sum(dv * dv))
+    # x and y are read-only: a sampler may return cached or shared arrays.
+    dtype = np.result_type(x, y, alpha, 1.0)  # floating, for the centring below
+    with np.errstate(over="ignore", invalid="ignore"):
+        ap, am = np.add(x, y, dtype=dtype), np.subtract(x, y, dtype=dtype)
+        for a in (ap, am):
+            np.abs(a, out=a)
+            a **= alpha  # the dispatch of ``a ** alpha``, scalar fast paths included
+        sum_p, sum_m = float(np.sum(ap)), float(np.sum(am))
+        dv = np.subtract(ap, am, out=ap)
+        sum_d = float(np.sum(dv))
+        dv -= sum_d / size
+        return sum_p, sum_m, sum_d, float(np.sum(np.square(dv, out=dv)))
 
 
 def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> GapReport:
@@ -219,6 +231,8 @@ def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> Gap
     error of the per-pair difference.  Work is split into fixed-size
     chunks reduced in index order, so the estimate does not depend on
     ``workers`` (>= 1; threads are capped at os.cpu_count() and the chunks).
+    Raises NonFiniteError if a sum of |X+-Y|**alpha or the variance of the
+    difference is not finite.
     """
     if not 0 < alpha <= 2:
         raise OutOfDomainError("0 < alpha <= 2")
@@ -242,16 +256,25 @@ def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> Gap
             )
     else:
         partials = [_mc_chunk(s, alpha, seed, c, size) for c, size in enumerate(sizes)]
-    sum_p, sum_m, sum_d, within = (math.fsum(column) for column in zip(*partials))
-    # Squared deviations within the chunks plus between them (Chan et al.).
-    between = math.fsum((c[2] - m * sum_d / n) ** 2 / m for c, m in zip(partials, sizes))
+    try:
+        sum_p, sum_m, sum_d, within = (math.fsum(column) for column in zip(*partials))
+        # Squared deviations within the chunks plus between them (Chan et al.).
+        between = math.fsum((c[2] - m * sum_d / n) ** 2 / m for c, m in zip(partials, sizes))
+    except (OverflowError, ValueError):  # past double range, or a sum of inf and -inf
+        raise NonFiniteError("Monte Carlo sums leave double range") from None
+    var = (within + between) / (n - 1)
+    if not all(map(math.isfinite, (sum_p, sum_m, var))):
+        raise NonFiniteError(
+            f"Monte Carlo sums are not finite: sum |X+Y|**alpha = {sum_p!r}, "
+            f"sum |X-Y|**alpha = {sum_m!r}, variance = {var!r}"
+        )
     return GapReport(
         alpha=alpha,
         e_plus=sum_p / n,
         e_minus=sum_m / n,
         route="mc",
         n=n,
-        stderr=math.sqrt((within + between) / (n - 1) / n),
+        stderr=math.sqrt(var / n),
     )
 
 

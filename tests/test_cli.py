@@ -194,6 +194,18 @@ class TestGap:
         assert out["n"] == 50000
         assert abs(out["gap"] - 0.5) <= 4 * out["stderr"]
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_mc_overflow_exits_2(self, tmp_path, workers):
+        # x + y and x - y overflow; two chunks, so workers=2 starts a pool.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(dist_to_json(DiscreteDist([(-1.5e308, 0.5), (1.6e308, 0.5)]))))
+        n = str(bifrac.inequality.MC_CHUNK + 1000)
+        r = run_cli("gap", "-d", str(path), "--alpha", "1", "--route", "mc", "--n", n, "--seed", "1",
+                    "--workers", workers)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "Warning" not in r.stderr
+
     def test_mc_requires_n(self, dist_file):
         r = run_cli("gap", "-d", dist_file, "--alpha", "1", "--route", "mc", "--seed", "4")
         assert r.returncode == 2

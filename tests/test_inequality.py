@@ -23,7 +23,7 @@ from bifrac import (
     supnorm_bound,
 )
 from bifrac._rng import substream
-from bifrac.inequality import MC_CHUNK
+from bifrac.inequality import MC_CHUNK, _mc_chunk
 
 from _support import mirrored_support_dist, random_dist, symmetric_dist
 
@@ -329,6 +329,75 @@ class TestGapMc:
         ref = Sampler(draw=lambda g, size: g.choice(vals, size=size, p=probs), moment_hint=math.inf)
         n = 3 * bifrac.inequality.MC_CHUNK + 777
         assert gap_mc(d.sampler(), 1.3, n, seed=48, workers=workers) == gap_mc(ref, 1.3, n, seed=48)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            [(-1.5e308, 0.5), (1.6e308, 0.5)],  # x + y and x - y overflow
+            [(-8e307, 0.5), (9e307, 0.5)],  # each pair is finite, a chunk's sum is not
+            [(1e303, 0.5), (1.5e303, 0.5)],  # the chunk sums are finite, their total is not
+        ],
+    )
+    def test_sums_past_double_range_raise(self, atoms, workers):
+        # Two chunks, so workers=2 runs them in pool threads; a RuntimeWarning
+        # there would surface as an error (see filterwarnings) instead.
+        d = DiscreteDist(atoms)
+        with pytest.raises(NonFiniteError):
+            gap_mc(d.sampler(), 1.0, MC_CHUNK + 1000, seed=1, workers=workers)
+        assert math.isfinite(gap_exact(d, 1.0).gap)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sampler_output_is_not_written(self, workers):
+        # The same draws served read-only, as one cached array for both
+        # streams, and as fresh copies: the reports agree and the cache holds.
+        n = MC_CHUNK + 1000
+        law = DiscreteDist([(-2.0, 0.25), (0.5, 0.5), (3.0, 0.25)])
+        base = law.sampler().draw(substream(3, 0, 0), n)
+        kept = base.copy()
+        cached = {size: base[:size] for size in (MC_CHUNK, n - MC_CHUNK)}
+        read_only = {size: a.view() for size, a in cached.items()}
+        for a in read_only.values():
+            a.setflags(write=False)
+        reports = [
+            gap_mc(Sampler(draw=draw, moment_hint=math.inf), 1.3, n, seed=2, workers=workers)
+            for draw in (
+                lambda rng, size: read_only[size],
+                lambda rng, size: cached[size],
+                lambda rng, size: cached[size].copy(),
+            )
+        ]
+        assert reports[0] == reports[1] == reports[2]
+        assert np.array_equal(base, kept)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.3, 2.0])
+    @pytest.mark.parametrize("size", [MC_CHUNK, 777])
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            DiscreteDist([(-1.0, 0.3), (2.5, 0.7)]).sampler(),
+            DiscreteDist([(-1.5, 0.2), (0.0, 0.5), (1.0, 0.3)]).sampler(),
+            DiscreteDist(
+                [(x, 1 / 700) for x in np.unique(np.random.default_rng(49).standard_cauchy(700)).tolist()]
+            ).sampler(),
+            Sampler(draw=lambda rng, size: rng.integers(-3, 4, size), moment_hint=math.inf),
+        ],
+        ids=["two_atoms", "atom_at_zero", "cauchy_700", "int_draws"],
+    )
+    def test_chunk_matches_reference_formula(self, sampler, size, alpha):
+        # The chunk sums from the same draws, by the plain array formula.
+        x, y = sampler.draw(substream(5, 0, 3), size), sampler.draw(substream(5, 1, 3), size)
+        ap, am = np.abs(x + y) ** alpha, np.abs(x - y) ** alpha
+        dv = ap - am
+        sum_d = float(np.sum(dv))
+        dv -= sum_d / size
+        want = (float(np.sum(ap)), float(np.sum(am)), sum_d, float(np.sum(dv * dv)))
+        assert _mc_chunk(sampler, alpha, 5, 3, size) == want
+
+    def test_integer_draws(self):
+        # Integer draws are summed as floats, whether alpha is an int or not.
+        s = Sampler(draw=lambda rng, size: rng.integers(-3, 4, size), moment_hint=math.inf)
+        assert gap_mc(s, 2, 1000, seed=1) == gap_mc(s, 2.0, 1000, seed=1)
 
     def test_rejects_workers_below_one(self):
         for workers in (0, -2):
