@@ -1,25 +1,14 @@
 """bifrac: bifractional Brownian motion kernel, Gaussian path sampling, and
 exact verification of the moment inequality E|X-Y|^a <= E|X+Y|^a and its
-Bernstein-function generalization."""
+Bernstein-function generalization.
 
-from .bernstein import (
-    BernsteinFn,
-    bernstein_from_json,
-    bernstein_gap_exact,
-    bernstein_to_json,
-    elementary_gap_series,
-    eval_f,
-    eval_g,
-    series_identity_check,
-)
-from .counterexample import (
-    CounterFamily,
-    closed_form_violation,
-    family_dist,
-    find_violation,
-    lower_bound_chain,
-    violation_exact,
-)
+``import bifrac`` loads only ``errors`` and ``dists`` (and numpy with
+them).  Every other public name, and every submodule, is imported on first
+access (PEP 562) and then cached in this namespace.
+"""
+
+from importlib import import_module as _import_module
+
 from .dists import (
     DiscreteDist,
     Sampler,
@@ -42,24 +31,90 @@ from .errors import (
     OutOfDomainError,
     SearchExhaustedError,
 )
-from .gpsim import (
-    CovMatrix,
-    PathBatch,
-    PsdVerdict,
-    build_cov_matrix,
-    check_psd,
-    cholesky_factor,
-    sample_paths,
-)
-from .inequality import (
-    GapReport,
-    SupnormBound,
-    gap_exact,
-    gap_mc,
-    gap_tail_integral,
-    gap_via_variance,
-    supnorm_bound,
-)
-from .kernel import BifParams, TimeGrid, cov, cov_matrix, signed_identity_lhs, validate_params
 
 __version__ = "0.1.0"
+
+# Public name -> the submodule that defines it, for the names loaded lazily.
+_LAZY = {
+    name: module
+    for module, names in {
+        "bernstein": (
+            "BernsteinFn",
+            "bernstein_from_json",
+            "bernstein_gap_exact",
+            "bernstein_to_json",
+            "elementary_gap_series",
+            "eval_f",
+            "eval_g",
+            "series_identity_check",
+        ),
+        "counterexample": (
+            "CounterFamily",
+            "closed_form_violation",
+            "family_dist",
+            "find_violation",
+            "lower_bound_chain",
+            "violation_exact",
+        ),
+        "gpsim": (
+            "CovMatrix",
+            "PathBatch",
+            "PsdVerdict",
+            "build_cov_matrix",
+            "check_psd",
+            "cholesky_factor",
+            "sample_paths",
+        ),
+        "inequality": (
+            "GapReport",
+            "SupnormBound",
+            "gap_exact",
+            "gap_mc",
+            "gap_tail_integral",
+            "gap_via_variance",
+            "supnorm_bound",
+        ),
+        "kernel": (
+            "BifParams",
+            "TimeGrid",
+            "cov",
+            "cov_matrix",
+            "signed_identity_lhs",
+            "validate_params",
+        ),
+    }.items()
+    for name in names
+}
+
+_SUBMODULES = (
+    "_rng",
+    "bernstein",
+    "cli",
+    "counterexample",
+    "dists",
+    "errors",
+    "gpsim",
+    "inequality",
+    "kernel",
+)
+
+# The names bound above (not the dists and errors modules themselves), then
+# the lazy ones.
+__all__ = sorted(
+    {name for name in globals() if not name.startswith("_")} - set(_SUBMODULES) | set(_LAZY)
+)
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        value = getattr(_import_module(f".{_LAZY[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = _import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_SUBMODULES))

@@ -13,6 +13,11 @@ Every numeric field in JSON output is rendered with 17 significant digits
 (null where the value is infinite or NaN), and every seeded command is a
 deterministic function of its full argument list (``BIFRAC_SEED``
 supplies the seed when --seed is absent).
+
+Each handler imports the library modules it runs, so a process loads only
+those beside errors and dists: ``gap`` adds inequality and kernel, ``cov``
+adds kernel, ``psd-check`` and ``sample`` add gpsim and kernel, and
+``counterexample`` adds counterexample alone.
 """
 
 from __future__ import annotations
@@ -23,8 +28,7 @@ import math
 import os
 import sys
 
-from .bernstein import bernstein_from_json, bernstein_gap_exact, series_identity_check
-from .counterexample import find_violation, lower_bound_chain
+# Every other library module is imported by the handlers that run it.
 from .dists import dist_from_json
 from .errors import (
     BifracError,
@@ -34,9 +38,6 @@ from .errors import (
     OutOfDomainError,
     SearchExhaustedError,
 )
-from .gpsim import build_cov_matrix, check_psd, sample_paths
-from .inequality import gap_exact, gap_mc, gap_tail_integral, gap_via_variance
-from .kernel import BifParams, TimeGrid, cov, validate_params
 
 # Exit code per exception family; the first entry the exception is an
 # instance of decides.  Anything else propagates: it is a defect.
@@ -78,6 +79,8 @@ def render_json(obj) -> str:
 
 
 def _parse_grid(spec: str) -> TimeGrid:
+    from .kernel import TimeGrid
+
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid spec must be start:step:count, got {spec!r}")
@@ -99,6 +102,8 @@ def _load_json(path: str):
 
 
 def _params(H: float, K: float, force: bool) -> BifParams:
+    from .kernel import BifParams, validate_params
+
     try:
         return validate_params(H, K)
     except OutOfDomainError:
@@ -109,11 +114,15 @@ def _params(H: float, K: float, force: bool) -> BifParams:
 
 
 def _cmd_cov(args) -> str:
+    from .kernel import cov
+
     p = _params(args.H, args.K, args.force)
     return _fmt(cov(p, args.t, args.s))
 
 
 def _cmd_psd_check(args) -> str:
+    from .gpsim import build_cov_matrix, check_psd
+
     p = _params(args.H, args.K, args.force)
     grid = _parse_grid(args.grid)
     verdict = check_psd(build_cov_matrix(p, grid), tol=args.tol)
@@ -121,12 +130,17 @@ def _cmd_psd_check(args) -> str:
 
 
 def _cmd_sample(args) -> None:
+    from .gpsim import sample_paths
+    from .kernel import validate_params
+
     p = validate_params(args.H, args.K)
     grid = _parse_grid(args.grid)
     sample_paths(p, grid, args.m, _resolve_seed(args.seed)).to_csv(args.out)
 
 
 def _cmd_gap(args) -> str:
+    from .inequality import gap_exact, gap_mc, gap_tail_integral, gap_via_variance
+
     d = dist_from_json(_load_json(args.dist))
     if args.route == "exact":
         report = gap_exact(d, args.alpha)
@@ -146,6 +160,8 @@ def _cmd_gap(args) -> str:
 
 
 def _cmd_counterexample(args) -> str:
+    from .counterexample import find_violation, lower_bound_chain
+
     fam = find_violation(args.alpha)
     chain = lower_bound_chain(fam)
     return render_json(
@@ -163,12 +179,16 @@ def _cmd_counterexample(args) -> str:
 
 
 def _cmd_bernstein_gap(args) -> str:
+    from .bernstein import bernstein_from_json, bernstein_gap_exact
+
     d = dist_from_json(_load_json(args.dist))
     g = bernstein_from_json(_load_json(args.bernstein))
     return render_json(bernstein_gap_exact(d, g).as_json_dict())
 
 
 def _cmd_series_check(args) -> str:
+    from .bernstein import series_identity_check
+
     res = series_identity_check(args.x, args.y, args.t, args.n_terms)
     return render_json(
         {"lhs": res.lhs, "rhs_partial": res.rhs_partial, "remainder_bound": res.remainder_bound}

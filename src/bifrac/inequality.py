@@ -223,6 +223,14 @@ def _mc_chunk(s: Sampler, alpha: float, seed: int, chunk: int, size: int):
         return sum_p, sum_m, sum_d, float(np.sum(np.square(dv, out=dv)))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one (``taskset`` and cgroup cpusets shrink it), else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> GapReport:
     """Paired Monte Carlo estimate of the gap.
 
@@ -230,7 +238,8 @@ def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> Gap
     independent substreams of ``seed``; ``stderr`` is the sample standard
     error of the per-pair difference.  Work is split into fixed-size
     chunks reduced in index order, so the estimate does not depend on
-    ``workers`` (>= 1; threads are capped at os.cpu_count() and the chunks).
+    ``workers`` (>= 1; threads are capped at the chunks and at the CPUs
+    this process may run on).
     Raises NonFiniteError if a sum of |X+-Y|**alpha or the variance of the
     difference is not finite.
     """
@@ -245,7 +254,7 @@ def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> Gap
             f"sampler only asserts finite moments up to order {s.moment_hint}, got alpha={alpha}"
         )
     sizes = [min(MC_CHUNK, n - start) for start in range(0, n, MC_CHUNK)]
-    threads = min(workers, len(sizes), os.cpu_count() or 1)
+    threads = min(workers, len(sizes), _usable_cpus())
     if threads > 1:
         # Imported here: most processes never start a pool.
         from concurrent.futures import ThreadPoolExecutor

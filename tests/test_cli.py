@@ -350,6 +350,50 @@ class TestImportCost:
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "False"
 
+    # Every bifrac module a subcommand loads beyond bifrac, cli, errors and
+    # dists.  So `gap` never loads gpsim, bernstein or counterexample, and
+    # `cov`, `psd-check` and `sample` never load inequality, bernstein or
+    # counterexample.
+    GAP = {"inequality", "kernel", "_rng"}
+    GRID = {"gpsim", "kernel", "_rng"}
+    BERNSTEIN = {"bernstein", "inequality", "kernel", "_rng"}
+
+    @pytest.mark.parametrize(
+        "argv,modules",
+        [
+            pytest.param("cov --H 0.5 --K 1 --t 1 --s 2", {"kernel"}, id="cov"),
+            pytest.param("psd-check --H 1 --K 2 --grid 1:1:2 --force", GRID, id="psd-check"),
+            pytest.param(
+                "sample --H 0.5 --K 1 --grid 0:1:4 --m 3 --seed 7 --out {tmp}/p.csv", GRID, id="sample"
+            ),
+            pytest.param("gap -d {dist} --alpha 1 --route exact", GAP, id="gap-exact"),
+            pytest.param("gap -d {dist} --alpha 1 --route tail", GAP, id="gap-tail"),
+            pytest.param("gap -d {dist} --alpha 1.5 --route variance", GAP, id="gap-variance"),
+            pytest.param(
+                "gap -d {dist} --alpha 1 --route mc --n 140000 --seed 1 --workers 2", GAP, id="gap-mc"
+            ),
+            pytest.param("counterexample --alpha 3", {"counterexample"}, id="counterexample"),
+            pytest.param("bernstein-gap -d {dist} -g {tmp}/g.json", BERNSTEIN, id="bernstein-gap"),
+            pytest.param("series-check --x 1 --y 1 --t 0.5 --n-terms 5", BERNSTEIN, id="series-check"),
+        ],
+    )
+    def test_subcommand_loads_only_its_modules(self, tmp_path, dist_file, argv, modules):
+        (tmp_path / "g.json").write_text('{"a": 0.0, "b": 1.0, "mu": [{"t": 0.5, "w": 2.0}]}')
+        args = argv.format(dist=dist_file, tmp=tmp_path).split()
+        r = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "bifrac", *args], capture_output=True, text=True
+        )
+        assert r.returncode == 0, r.stderr
+        loaded = {
+            line.rsplit("|", 1)[1].strip()
+            for line in r.stderr.splitlines()
+            if line.startswith("import time:") and "[us]" not in line
+        }
+        expected = {"bifrac", "bifrac.cli", "bifrac.dists", "bifrac.errors"}
+        assert {m for m in loaded if m.split(".")[0] == "bifrac"} == expected | {
+            f"bifrac.{m}" for m in modules
+        }
+
 
 class TestInProcessMain:
     def test_main_returns_exit_code(self, capsys, dist_file):

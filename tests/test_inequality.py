@@ -409,6 +409,25 @@ class TestGapMc:
         [(10**6, 3, 4, [3]), (8, 16, 2, [2]), (4, 2, 4, [2]), (4, None, 4, []), (1, 8, 4, [])],
     )
     def test_thread_count_clamped(self, monkeypatch, workers, cpus, chunks, threads):
+        # Without an affinity call the cap is os.cpu_count().
+        from bifrac import inequality
+
+        monkeypatch.delattr(inequality.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(inequality.os, "cpu_count", lambda: cpus)
+        assert self._threads_started(monkeypatch, workers, chunks) == threads
+
+    @pytest.mark.parametrize("workers,affinity,threads", [(4, {0}, []), (4, {0, 5}, [2])])
+    def test_thread_count_follows_affinity(self, monkeypatch, workers, affinity, threads):
+        # The affinity set caps the threads below os.cpu_count(), as under
+        # `taskset -c 0`.
+        from bifrac import inequality
+
+        monkeypatch.setattr(inequality.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(inequality.os, "cpu_count", lambda: 8)
+        assert self._threads_started(monkeypatch, workers, 4) == threads
+
+    @staticmethod
+    def _threads_started(monkeypatch, workers, chunks):
         # The pool is replaced by a serial stand-in that records its size,
         # so no thread is started.
         from bifrac import inequality
@@ -429,11 +448,10 @@ class TestGapMc:
                 return list(map(fn, items))
 
         monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(inequality.os, "cpu_count", lambda: cpus)
         n = chunks * inequality.MC_CHUNK
         r = gap_mc(D01.sampler(), 1.0, n, seed=9, workers=workers)
-        assert started == threads
         assert r == gap_mc(D01.sampler(), 1.0, n, seed=9, workers=1)
+        return started
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamplesError):
