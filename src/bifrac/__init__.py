@@ -5,9 +5,31 @@ Bernstein-function generalization.
 ``import bifrac`` loads only ``errors`` and ``dists`` (and numpy with
 them).  Every other public name, and every submodule, is imported on first
 access (PEP 562) and then cached in this namespace.
+
+numpy is loaded first, with OpenBLAS's idle timeout at 2**20 cycles unless
+numpy was already imported or the caller set ``OPENBLAS_THREAD_TIMEOUT``.
 """
 
+import os
+import sys
 from importlib import import_module as _import_module
+
+# OpenBLAS starts its worker threads when numpy loads, and each one spins
+# for 2**28 cycles (the default, about 0.1 s) before it sleeps, at load and
+# again after every BLAS call, burning CPU in a process that does no BLAS
+# work meanwhile.  2**20 cycles keeps the threads awake across the many BLAS
+# calls of one LAPACK routine.  OpenBLAS reads the variable once, at load;
+# it is removed again so that no subprocess or host program sees it.
+if "numpy" not in sys.modules and "OPENBLAS_THREAD_TIMEOUT" not in os.environ:
+    os.environ["OPENBLAS_THREAD_TIMEOUT"] = "20"
+    try:
+        # A statement, not _import_module: ``python -X importtime`` reports
+        # numpy's own line only for an import statement.
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_THREAD_TIMEOUT"]
+    del numpy
+del os, sys
 
 from .dists import (
     DiscreteDist,

@@ -139,7 +139,7 @@ def _cmd_sample(args) -> None:
 
 
 def _cmd_gap(args) -> str:
-    from .inequality import gap_exact, gap_mc, gap_tail_integral, gap_via_variance
+    from .inequality import _gap_mc_law, gap_exact, gap_tail_integral, gap_via_variance
 
     d = dist_from_json(_load_json(args.dist))
     if args.route == "exact":
@@ -153,9 +153,7 @@ def _cmd_gap(args) -> str:
     else:
         if args.n is None:
             raise ValueError("route=mc requires --n")
-        report = gap_mc(
-            d.sampler(), args.alpha, args.n, _resolve_seed(args.seed), workers=args.workers
-        )
+        report = _gap_mc_law(d, args.alpha, args.n, _resolve_seed(args.seed), workers=args.workers)
     return render_json(report.as_json_dict())
 
 

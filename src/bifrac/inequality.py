@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -285,6 +285,18 @@ def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> Gap
         n=n,
         stderr=math.sqrt(var / n),
     )
+
+
+def _gap_mc_law(d: DiscreteDist, alpha: float, n: int, seed: int, workers: int = 1) -> GapReport:
+    """:func:`gap_mc` on draws from ``d``, or from the rescaled law of
+    :func:`_in_range` where pair powers of ``d`` would overflow, with both
+    moments and ``stderr`` mapped back.  A law that _in_range leaves
+    unchanged gives gap_mc's report bit for bit."""
+    if not 0 < alpha <= 2:  # before _in_range, which divides by 0 for alpha < 0
+        raise OutOfDomainError("0 < alpha <= 2")
+    law, back = _in_range(d, alpha)
+    r = gap_mc(law.sampler(), alpha, n, seed, workers=workers)
+    return replace(r, e_plus=back(r.e_plus), e_minus=back(r.e_minus), stderr=back(r.stderr))
 
 
 def supnorm_bound(d: DiscreteDist) -> SupnormBound:

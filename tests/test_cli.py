@@ -196,15 +196,31 @@ class TestGap:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_mc_overflow_exits_2(self, tmp_path, workers):
-        # x + y and x - y overflow; two chunks, so workers=2 starts a pool.
+        # E|X+Y|**2 is about 9e320, past double range; two chunks, so
+        # workers=2 starts a pool.
         path = tmp_path / "big.json"
-        path.write_text(json.dumps(dist_to_json(DiscreteDist([(-1.5e308, 0.5), (1.6e308, 0.5)]))))
+        path.write_text(json.dumps(dist_to_json(DiscreteDist([(1e160, 0.5), (2e160, 0.5)]))))
         n = str(bifrac.inequality.MC_CHUNK + 1000)
-        r = run_cli("gap", "-d", str(path), "--alpha", "1", "--route", "mc", "--n", n, "--seed", "1",
+        r = run_cli("gap", "-d", str(path), "--alpha", "2", "--route", "mc", "--n", n, "--seed", "1",
                     "--workers", workers)
         assert r.returncode == 2
         assert r.stdout == ""
         assert "Warning" not in r.stderr
+
+    @pytest.mark.parametrize("n", [1000, bifrac.inequality.MC_CHUNK + 1000])
+    def test_mc_atoms_near_dbl_max(self, tmp_path, n):
+        # x + y and x - y overflow, but every moment is finite: the pairs are
+        # drawn from the rescaled law, as the exact route evaluates them.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(dist_to_json(DiscreteDist([(-1.5e308, 0.5), (1.6e308, 0.5)]))))
+        args = ("gap", "-d", str(path), "--alpha", "1", "--route", "mc", "--n", str(n), "--seed", "1")
+        runs = [run_cli(*args, "--workers", w) for w in ("1", "2")]
+        assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout
+        out = json.loads(runs[0].stdout)
+        assert all(math.isfinite(out[k]) for k in ("e_plus", "e_minus", "gap", "stderr"))
+        exact = json.loads(run_cli(*args[:5], "--route", "exact").stdout)
+        assert out["e_plus"] == pytest.approx(exact["e_plus"], rel=0.1)
 
     def test_mc_requires_n(self, dist_file):
         r = run_cli("gap", "-d", dist_file, "--alpha", "1", "--route", "mc", "--seed", "4")

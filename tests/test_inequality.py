@@ -23,7 +23,7 @@ from bifrac import (
     supnorm_bound,
 )
 from bifrac._rng import substream
-from bifrac.inequality import MC_CHUNK, _mc_chunk
+from bifrac.inequality import MC_CHUNK, _gap_mc_law, _mc_chunk
 
 from _support import mirrored_support_dist, random_dist, symmetric_dist
 
@@ -346,6 +346,29 @@ class TestGapMc:
         with pytest.raises(NonFiniteError):
             gap_mc(d.sampler(), 1.0, MC_CHUNK + 1000, seed=1, workers=workers)
         assert math.isfinite(gap_exact(d, 1.0).gap)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_law_in_range_is_drawn_as_given(self, workers):
+        d = DiscreteDist([(-2.0, 0.25), (0.5, 0.5), (3.0, 0.25)])
+        n = MC_CHUNK + 1000
+        assert _gap_mc_law(d, 1.3, n, 5, workers) == gap_mc(d.sampler(), 1.3, n, seed=5)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_law_past_double_range_is_drawn_rescaled(self, workers):
+        # Pairs of ``big`` overflow; _in_range scales it by 2**-1025, which
+        # gives ``small``, and maps alpha = 1 moments back exactly.
+        small = DiscreteDist([(-0.375, 0.5), (0.4, 0.5)])
+        big = DiscreteDist([(math.ldexp(x, 1025), p) for x, p in small.atoms])
+        n = MC_CHUNK + 1000
+        r, ref = _gap_mc_law(big, 1.0, n, 5, workers), gap_mc(small.sampler(), 1.0, n, seed=5)
+        assert (r.e_plus, r.e_minus, r.stderr) == tuple(
+            math.ldexp(v, 1025) for v in (ref.e_plus, ref.e_minus, ref.stderr)
+        )
+        assert abs(r.gap - gap_exact(big, 1.0).gap) <= 4 * r.stderr
+
+    def test_law_alpha_checked_before_rescaling(self):
+        with pytest.raises(OutOfDomainError):
+            _gap_mc_law(DiscreteDist([(0.0, 1.0)]), -1.0, 100, 1)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sampler_output_is_not_written(self, workers):
