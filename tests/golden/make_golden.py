@@ -119,6 +119,10 @@ def cases() -> list:
         ("series", ["series-check", "--x", "1.2", "--y", "-0.7", "--t", "0.9", "--n-terms", "25"]),
         ("sample", ["sample", "--H", "0.5", "--K", "1", "--grid", "0:0.25:9", "--m", "20",
                     "--seed", "404", "--out", SAMPLE_CSV]),
+        # 210,000 values: several CSV write blocks, with the t = 0 column
+        # all zeros.
+        ("sample_blocks", ["sample", "--H", "0.35", "--K", "1.4", "--grid", "0:0.01:300",
+                           "--m", "700", "--seed", "405", "--out", SAMPLE_CSV]),
         # psd-check at n = 200: in the domain from t = 0 and from t > 0, and
         # forced outside it.
         ("psd_200", ["psd-check", "--H", "0.3", "--K", "1.7", "--grid", "0:0.05:200"]),

@@ -1,7 +1,15 @@
+import io
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifrac import (
     BifParams,
@@ -18,6 +26,7 @@ from bifrac import (
     validate_params,
 )
 
+from bifrac import gpsim
 from _support import random_domain_params
 
 
@@ -212,6 +221,111 @@ class TestSamplePaths:
         assert np.array_equal(big.paths[:5], small.paths)
 
 
+def _written(arr) -> bytes:
+    """The bytes ``PathBatch.to_csv`` writes for the 2-D array ``arr``."""
+    arr = np.asarray(arr, dtype=np.float64)
+    grid = TimeGrid(tuple(float(i + 1) for i in range(arr.shape[1])))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "paths.csv")
+        PathBatch(grid=grid, paths=arr, seed=0).to_csv(out)
+        with open(out, "rb") as fh:
+            return fh.read()
+
+
+def _reference(arr) -> bytes:
+    """Header and one ``'%.17g' %`` per value, joined by commas and newlines."""
+    arr = np.asarray(arr, dtype=np.float64)
+    lines = [",".join(f"t_{i}" for i in range(arr.shape[1]))]
+    lines += [",".join("%.17g" % v for v in row) for row in arr.tolist()]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def _from_bits(sign, exponent, mantissa) -> np.ndarray:
+    """Doubles assembled from their fields, with no numpy arithmetic on
+    floats (whose last bit could depend on the SIMD dispatch)."""
+    bits = (
+        np.asarray(sign, dtype=np.uint64) << np.uint64(63)
+        | np.asarray(exponent, dtype=np.uint64) << np.uint64(52)
+        | np.asarray(mantissa, dtype=np.uint64)
+    )
+    return bits.view(np.float64)
+
+
+def _powers_of_ten_and_neighbours() -> list[float]:
+    out = []
+    for k in range(-330, 309):
+        p = float(f"1e{k}")
+        out += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    return out
+
+
+def _ties() -> list[float]:
+    """Doubles whose 17-digit rounding is an exact tie: odd / 2**(k + 1)
+    with k = 16 - E, so that v * 10**k = odd * 5**k / 2 is a half-integer."""
+    rng = np.random.default_rng(11)
+    out = [1.0000076293945312]  # 131073 / 2**17
+    for e in range(-8, 17):
+        # odd in [10**e, 10**(e + 1)) * 2**(k + 1), below 2**53; for e < -6,
+        # 10**k is inexact in double precision.
+        k = 16 - e
+        lo = math.ceil(10.0**e * 2 ** (k + 1))
+        hi = min(math.ceil(10.0 ** (e + 1) * 2 ** (k + 1)), 2**53)
+        for _ in range(5 if lo < hi else 0):
+            odd = int(rng.integers(lo, hi)) | 1
+            if odd < hi:
+                out.append(odd / 2 ** (k + 1))
+    return out
+
+
+def _near_ties() -> list[float]:
+    """Doubles v = m * 2**s whose y = v * 10**-j lies 1 / (2 * 5**j) < 2**-47
+    from a half-integer: m * 2**(s - j) = (5**j +- 1) / 2 modulo 5**j.  The
+    computed y may fall on either side of the tie."""
+    out = []
+    for j in (20, 21, 22):
+        for s in range(j, j + 60):
+            for t in ((5**j - 1) // 2, (5**j + 1) // 2):
+                m = t * pow(2 ** (s - j), -1, 5**j) % 5**j
+                m += ((2**52 - m) // 5**j + 1) * 5**j
+                v = math.ldexp(m, s)
+                if m < 2**53 and 1e16 <= v * 10.0**-j < 1e17:
+                    out.append(v)
+    return out
+
+
+EDGES = [
+    0.0, -0.0, 1e16, 1e17, 99999999999999984.0, 123456789012345678.0,
+    1e-99, math.nextafter(1e-99, 0.0), 1e99, math.nextafter(1e99, 0.0),
+    math.nextafter(1e99, math.inf), 9.9999999999999999e98, 5e-324,
+    2.2250738585072014e-308, math.nextafter(2.2250738585072014e-308, 0.0),
+    1.7976931348623157e308, math.nan, math.inf, -math.inf, 0.5, 100.5, 1 / 3,
+]
+
+
+_SIMD_CHECK = """
+import sys
+import numpy as np
+sys.path[:0] = [sys.argv[1]]
+from test_gpsim import _from_bits, _powers_of_ten_and_neighbours, _reference, _ties, _written
+rng = np.random.default_rng(7)
+n = 60000
+wide = _from_bits(rng.integers(0, 2, n), rng.integers(1023 - 340, 1023 + 340, n),
+                  rng.integers(0, 2**52, n, dtype=np.uint64))
+fixed = np.array(_powers_of_ten_and_neighbours() + _ties())
+for arr in (wide.reshape(-1, 6), np.resize(fixed, len(fixed) // 4 * 4).reshape(-1, 4)):
+    assert _written(arr) == _reference(arr)
+print("ok")
+"""
+
+
+def _has_avx512() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("X86_V4"))
+
+
 class TestCsvExport:
     def test_format_and_round_trip(self, tmp_path):
         b = sample_paths(validate_params(0.5, 1.0), TimeGrid((0.0, 1.0, 2.0)), 4, seed=13)
@@ -241,3 +355,112 @@ class TestCsvExport:
         rows = [",".join(format(v, ".17g") for v in row) for row in arr]
         assert out.read_bytes() == "".join(line + "\n" for line in [header, *rows]).encode()
 
+    def test_paths_must_match_grid(self):
+        grid = TimeGrid((1.0, 2.0, 3.0))
+        for paths in (np.zeros((4, 2)), np.zeros(3), np.zeros((2, 3, 1))):
+            with pytest.raises(ValueError, match="one column per grid point"):
+                PathBatch(grid=grid, paths=paths, seed=0)
+        PathBatch(grid=grid, paths=np.zeros((0, 3)), seed=0)
+
+    @pytest.mark.parametrize(
+        "values",
+        [_powers_of_ten_and_neighbours(), _ties(), EDGES],
+        ids=["powers_of_ten", "ties", "edges"],
+    )
+    def test_fixed_values(self, values):
+        col = np.array(values + [-v for v in values]).reshape(-1, 1)
+        assert _written(col) == _reference(col)
+        rows = np.resize(col, (len(col) // 7 + 1) * 7).reshape(-1, 7)
+        assert _written(rows) == _reference(rows)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 300), (300, 1), (5000, 7)])
+    def test_shapes(self, shape):
+        # (5000, 7) spans three blocks, the last one partial.
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        arr = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 20, shape)
+        assert _written(arr) == _reference(arr)
+
+    def test_near_ties_take_the_fallback(self):
+        values = _near_ties()
+        assert len(values) >= 4
+        a = np.array(values)
+        e10 = np.floor(np.log10(a)).astype(np.int64)
+        for v, e in zip(values, e10.tolist()):
+            y = Fraction(v) * Fraction(10) ** (16 - e)
+            assert abs(y - math.floor(y) - Fraction(1, 2)) < Fraction(1, 2**47)
+        assert gpsim._digits17(a, e10)[1].all()
+        arr = np.array(values).reshape(-1, 1)
+        assert _written(arr) == _reference(arr)
+
+    @pytest.mark.parametrize("shift", [-0.5, 0.5])
+    def test_exponent_estimate_may_be_off_by_one(self, monkeypatch, shift):
+        # log10 only estimates E: an estimate one too low or too high for
+        # about half the values must not change a byte.
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+        arr = np.random.default_rng(3).standard_normal((200, 5)) * 10.0 ** np.arange(-6, 19, 5)
+        assert _written(arr) == _reference(arr)
+
+    def test_slow_rows_keep_their_place(self):
+        # Rows with a NaN, an infinity, a subnormal and an exact tie in the
+        # middle of a batch of several blocks.
+        cols = 9
+        rows = 3 * (gpsim._CSV_BLOCK // cols) + 5
+        arr = np.random.default_rng(2).standard_normal((rows, cols))
+        for r, v in ((1, math.nan), (rows // 2, math.inf), (rows // 2 + 1, 5e-324),
+                     (rows - 2, 1.0000076293945312)):
+            arr[r, r % cols] = v
+        assert _written(arr) == _reference(arr)
+
+    def test_sample_matches_savetxt(self, tmp_path):
+        # About 1e6 values from t = 0, the shape of the bench's CSV command;
+        # np.savetxt is the writer to_csv replaced.
+        grid = TimeGrid.regular(0.0, 0.01, 239)
+        batch = sample_paths(validate_params(0.55, 1.2), grid, 4184, seed=61)
+        out = tmp_path / "paths.csv"
+        batch.to_csv(str(out))
+        ref = io.StringIO()
+        header = ",".join(f"t_{i}" for i in range(len(grid)))
+        np.savetxt(ref, batch.paths, fmt="%.17g", delimiter=",", header=header, comments="")
+        assert out.read_bytes() == ref.getvalue().encode()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda cols: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.floats(),
+                        st.tuples(
+                            st.integers(0, 1),
+                            st.one_of(st.integers(1023 - 340, 1023 + 340), st.integers(0, 2046)),
+                            st.integers(0, 2**52 - 1),
+                        ).map(lambda f: float(_from_bits(*f))),
+                    ),
+                    min_size=cols,
+                    max_size=cols,
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    def test_random_values(self, rows):
+        assert _written(rows) == _reference(rows)
+
+    def test_tables_wait_for_first_use(self):
+        code = "import bifrac.gpsim as g; print(g._csv_tables.cache_info().currsize)"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "0"
+
+    @pytest.mark.skipif(not _has_avx512(), reason="needs a CPU with numpy's X86_V4 kernels")
+    def test_same_without_avx512_kernels(self):
+        # numpy's log10 (which only estimates E) takes another SIMD kernel here.
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+        tests = os.path.dirname(os.path.abspath(__file__))
+        r = subprocess.run(
+            [sys.executable, "-c", _SIMD_CHECK, tests], capture_output=True, text=True, env=env
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "ok"
