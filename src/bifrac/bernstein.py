@@ -131,9 +131,9 @@ def bernstein_gap_exact(d: DiscreteDist, g: BernsteinFn) -> GapReport:
     keys, w = _signed_weights(d)
     with np.errstate(over="ignore"):  # inf in uv, d2 gives exp 0, expm1 -1
         uv, d2 = np.multiply.outer(keys, keys), np.subtract.outer(keys, keys) ** 2
-        table = 4.0 * g.b * uv if g.b else np.zeros_like(uv)
+        table = 4.0 * (g.b * uv) if g.b else np.zeros_like(uv)
         for t, omega in g.mu:
-            table -= omega * np.exp(-t * d2) * np.expm1(-4.0 * t * uv)
+            table -= omega * np.exp(-t * d2) * np.expm1(-4.0 * (t * uv))
     gap = _signed_form(w, table, "Bernstein gap")
     return GapReport(alpha=None, e_plus=e_plus, e_minus=e_plus - gap, route="exact")
 
@@ -149,9 +149,12 @@ def elementary_gap_series(
 
     If ``n_terms`` is None the stopping rule is used: stop once the
     dominating coefficient of the next term falls below 1e-16 and the
-    coefficient ratio is below 1/2.  ``truncation_bound`` is the tail of
-    the dominating series (first omitted coefficient summed geometrically);
-    it is a rigorous remainder bound because |S_n| <= max|x|**(2n+1).
+    coefficient ratio is below 1/2.  With ``n_terms`` given, the sum stops
+    early once the coefficients underflow to 0.0, as every later term is
+    then 0.0, and the result still reports ``n_terms``.
+    ``truncation_bound`` is the tail of the dominating series (first
+    omitted coefficient summed geometrically); it is a rigorous remainder
+    bound because |S_n| <= max|x|**(2n+1).
 
     Raises
     ------
@@ -187,7 +190,7 @@ def elementary_gap_series(
         n += 1
         next_coef = coef * z * z / ((2.0 * n) * (2.0 * n + 1.0))
         if n_terms is not None:
-            if n >= n_terms:
+            if n >= n_terms or next_coef == 0.0:  # then every later term is 0.0
                 break
         else:
             ratio = z * z / ((2.0 * n + 2.0) * (2.0 * n + 3.0))
@@ -199,7 +202,7 @@ def elementary_gap_series(
         states *= ratios2
     ratio = z * z / ((2.0 * n + 2.0) * (2.0 * n + 3.0))
     bound = next_coef / (1.0 - ratio) if ratio < 1.0 else math.inf
-    return SeriesResult(value=math.fsum(terms), truncation_bound=bound, n_terms=n)
+    return SeriesResult(value=math.fsum(terms), truncation_bound=bound, n_terms=n_terms or n)
 
 
 def series_identity_check(x: float, y: float, t: float, n_terms: int) -> IdentityCheck:
@@ -237,6 +240,9 @@ def series_identity_check(x: float, y: float, t: float, n_terms: int) -> Identit
     for n in range(n_terms):
         log_term = log_pref + (2 * n + 1) * log_w - math.lgamma(2 * n + 2)
         terms.append(sign * math.exp(log_term))
+        # Once the term ratio is < 1/2 the terms fall, so after a 0.0 all are.
+        if terms[-1] == 0.0 and w * w / ((2.0 * n + 2.0) * (2.0 * n + 3.0)) < 0.5:
+            break
     rhs_partial = math.fsum(terms)
     log_next = log_pref + (2 * n_terms + 1) * log_w - math.lgamma(2 * n_terms + 2)
     ratio = w * w / ((2.0 * n_terms + 2.0) * (2.0 * n_terms + 3.0))

@@ -15,9 +15,10 @@ deterministic function of its full argument list (``BIFRAC_SEED``
 supplies the seed when --seed is absent).
 
 Each handler imports the library modules it runs, so a process loads only
-those beside errors and dists: ``gap`` adds inequality and kernel, ``cov``
-adds kernel, ``psd-check`` and ``sample`` add gpsim and kernel, and
-``counterexample`` adds counterexample alone.
+those beside errors and dists: ``gap`` adds inequality, kernel and _rng,
+``cov`` adds kernel, ``psd-check`` and ``sample`` add gpsim, kernel and
+_rng, ``bernstein-gap`` and ``series-check`` add bernstein, inequality,
+kernel and _rng, and ``counterexample`` adds counterexample alone.
 """
 
 from __future__ import annotations

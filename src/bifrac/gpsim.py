@@ -119,23 +119,22 @@ def check_psd(m: CovMatrix, tol: float = 1e-8) -> PsdVerdict:
     return PsdVerdict(is_psd=min_eig >= -tol * m.scale, min_eig=min_eig)
 
 
-def _factor(m: CovMatrix) -> tuple[list[int], np.ndarray]:
-    """Lower Cholesky factor of the t != 0 block of ``m``.
+def _factor(m: CovMatrix) -> tuple[int, np.ndarray]:
+    """Lower Cholesky factor of ``m`` without its t = 0 coordinate.
 
-    Coordinates at t = 0 are pinned to zero (the process starts at 0 almost
-    surely), so only the submatrix of the other coordinates is factorized,
-    with the jitter ladder 0, 1e-12*scale, 1e-10*scale.  Returns ``(nonzero,
-    l_sub)``: the indices of the t != 0 coordinates and the factor of their
-    submatrix.
+    A grid is increasing and nonnegative, so only its first point can be
+    t = 0; that coordinate is pinned to zero (the process starts at 0 almost
+    surely), and the block after it is factorized, with the jitter ladder 0,
+    1e-12*scale, 1e-10*scale.  Returns ``(z, l)``: z = 1 if the grid starts
+    at 0, else 0, and l the factor of ``entries[z:, z:]``.
     """
-    nonzero = [i for i, t in enumerate(m.grid.points) if t != 0.0]
-    # Advanced indexing copies, so the jitter is added to sub in place.
-    sub = m.entries[np.ix_(nonzero, nonzero)]
+    z = int(m.grid[0] == 0.0)
+    sub = m.entries[z:, z:].copy()  # the jitter is added to sub in place
     diag = sub.diagonal().copy()
     for jitter in _JITTERS:
         np.fill_diagonal(sub, diag + jitter * m.scale)
         try:
-            return nonzero, np.linalg.cholesky(sub)
+            return z, np.linalg.cholesky(sub)
         except np.linalg.LinAlgError:
             continue
     raise NotPSDError(
@@ -144,11 +143,11 @@ def _factor(m: CovMatrix) -> tuple[list[int], np.ndarray]:
 
 
 def cholesky_factor(m: CovMatrix) -> np.ndarray:
-    """Full-size lower factor L with L @ L.T ~= entries; the rows and
-    columns of the t = 0 coordinates are zero (see :func:`_factor`)."""
-    nonzero, l_sub = _factor(m)
+    """Full-size lower factor L with L @ L.T ~= entries; the row and column
+    of a t = 0 coordinate are zero (see :func:`_factor`)."""
+    z, l = _factor(m)
     full = np.zeros(m.entries.shape)
-    full[np.ix_(nonzero, nonzero)] = l_sub
+    full[z:, z:] = l
     return full
 
 
@@ -170,12 +169,11 @@ def sample_paths(p: BifParams, grid: TimeGrid, m: int, seed: int) -> PathBatch:
         raise OutOfDomainError(p.failed_bound, "sampling requires (H, K) in the existence domain")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    nonzero, l_sub = _factor(build_cov_matrix(p, grid))
+    z, l = _factor(build_cov_matrix(p, grid))
     paths = np.zeros((m, len(grid)), dtype=np.float64)
     for chunk, start in enumerate(range(0, m, CHUNK_ROWS)):
-        rows = min(CHUNK_ROWS, m - start)
-        z = substream(seed, 0, chunk).standard_normal((rows, len(nonzero)))
-        paths[start : start + rows, nonzero] = z @ l_sub.T
+        rows = paths[start : start + CHUNK_ROWS, z:]
+        rows[:] = substream(seed, 0, chunk).standard_normal(rows.shape) @ l.T
     return PathBatch(grid=grid, paths=paths, seed=seed)
 
 

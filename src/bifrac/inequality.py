@@ -40,7 +40,7 @@ from .errors import (
     NonFiniteError,
     OutOfDomainError,
 )
-from .kernel import cov_matrix, validate_params
+from .kernel import BifParams, cov_matrix
 
 __all__ = [
     "GapReport",
@@ -127,6 +127,8 @@ def _in_range(d: DiscreteDist, alpha: float):
     ``back`` raises NonFiniteError if the moment itself leaves double range.
     """
     x_max = max(map(abs, d.values()))
+    if x_max == 0.0:  # every moment is 0; 0.0 ** alpha fails for alpha < 0
+        return d, lambda m: m
     try:
         if math.isfinite((2.0 * x_max) ** alpha):
             return d, lambda m: m
@@ -147,10 +149,10 @@ def _in_range(d: DiscreteDist, alpha: float):
 def gap_exact(d: DiscreteDist, alpha: float) -> GapReport:
     """Exact gap by the double sum over atom pairs.
 
-    alpha may exceed 2 (the violation search reuses this engine); the
-    nonnegativity assertion applies only for alpha in (0, 2].  Laws whose
-    pair powers would overflow are evaluated rescaled (see :func:`_in_range`);
-    raises NonFiniteError if a moment is not finite.
+    alpha may exceed 2, where the gap may be negative; the nonnegativity
+    assertion applies only for alpha in (0, 2].  Laws whose pair powers
+    would overflow are evaluated rescaled (see :func:`_in_range`); raises
+    NonFiniteError if a moment is not finite.
     """
     if not alpha > 0:
         raise OutOfDomainError("alpha > 0")
@@ -194,7 +196,7 @@ def gap_via_variance(d: DiscreteDist, alpha: float) -> GapReport:
         raise OutOfDomainError("0 < alpha <= 2")
     law, back = _in_range(d, alpha)
     keys, w = _signed_weights(law)
-    var = _signed_form(w, cov_matrix(validate_params(0.5, alpha), keys), "Var of kernel functional")
+    var = _signed_form(w, cov_matrix(BifParams(0.5, alpha), keys), "Var of kernel functional")
     gap = back(2.0**alpha * var)
     e_plus = back(expect_pair(law, lambda u, v: np.abs(u + v) ** alpha))
     return GapReport(alpha=alpha, e_plus=e_plus, e_minus=e_plus - gap, route="variance")
@@ -292,8 +294,6 @@ def _gap_mc_law(d: DiscreteDist, alpha: float, n: int, seed: int, workers: int =
     :func:`_in_range` where pair powers of ``d`` would overflow, with both
     moments and ``stderr`` mapped back.  A law that _in_range leaves
     unchanged gives gap_mc's report bit for bit."""
-    if not 0 < alpha <= 2:  # before _in_range, which divides by 0 for alpha < 0
-        raise OutOfDomainError("0 < alpha <= 2")
     law, back = _in_range(d, alpha)
     r = gap_mc(law.sampler(), alpha, n, seed, workers=workers)
     return replace(r, e_plus=back(r.e_plus), e_minus=back(r.e_minus), stderr=back(r.stderr))

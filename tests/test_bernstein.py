@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,24 @@ from bifrac.errors import NegativeArgumentError
 from _support import random_bernstein, random_dist, symmetric_dist
 
 D01 = DiscreteDist([(0.0, 0.5), (1.0, 0.5)])
+
+
+class CountingMath:
+    """The ``math`` module with its calls to exp and fsum counted."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        f = getattr(math, name)
+        if name not in ("exp", "fsum"):
+            return f
+
+        def counted(*args):
+            self.calls[name] += 1
+            return f(*args)
+
+        return counted
 
 
 def elementary_direct(d, t):
@@ -263,6 +282,21 @@ class TestBernsteinGap:
         assert r.e_plus == e_plus
         assert r.e_minus == pytest.approx(e_minus, rel=1e-15)
 
+    def test_measure_atom_t_past_quarter_dbl_max(self):
+        # -4*t overflows to -inf, but the zero atom's row has uv = 0, where
+        # the table must be 0, not NaN: F(|X+-Y|) is 1 - exp(-t*l**2) with
+        # l**2 in {0, 1, 4}, so the gap is P(X = Y = 1) = 1/4.
+        r = bernstein_gap_exact(D01, BernsteinFn(a=0.0, b=0.0, mu=((1e308, 1.0),)))
+        assert (r.e_plus, r.e_minus, r.gap) == (0.75, 0.5, 0.25)
+
+    def test_b_past_quarter_dbl_max(self):
+        # 4*b overflows to inf, but b*uv is about 1e8; the law is symmetric,
+        # so its signed weights and the gap are 0.
+        d = DiscreteDist([(-1e-150, 0.5), (1e-150, 0.5)])
+        r = bernstein_gap_exact(d, BernsteinFn(a=0.0, b=1e308))
+        assert r.gap == 0.0
+        assert r.e_plus == pytest.approx(2e8, rel=1e-15)
+
     def test_decomposition_linearity(self):
         # gap(G) = b * alpha2-gap + sum_i w_i * elementary gap at t_i
         rng = np.random.default_rng(43)
@@ -363,6 +397,18 @@ class TestElementarySeries:
         assert res.value == pytest.approx(first, rel=1e-14)
         assert res.n_terms == 1
 
+    def test_stops_once_coefficients_underflow(self, monkeypatch):
+        # Past about 150 terms every coefficient is 0.0, so 10**6 requested
+        # terms cost about 150 fsums and give the same value and bound 0.
+        d = DiscreteDist([(-2.0, 0.25), (0.5, 0.5), (3.0, 0.25)])
+        short = elementary_gap_series(d, 0.8, n_terms=1000)
+        counting = CountingMath()
+        monkeypatch.setattr(bifrac.bernstein, "math", counting)
+        res = elementary_gap_series(d, 0.8, n_terms=10**6)
+        assert counting.calls["fsum"] < 1000
+        assert res == (short.value, 0.0, 10**6)
+        assert short.truncation_bound == 0.0
+
     def test_zero_law(self):
         res = elementary_gap_series(DiscreteDist([(0.0, 1.0)]), 2.0)
         assert res.value == 0.0 and res.truncation_bound == 0.0
@@ -430,6 +476,18 @@ class TestSeriesIdentityCheck:
         res = series_identity_check(30.0, 30.0, 0.5, 2000)
         assert res.lhs == 1.0
         assert res.rhs_partial == pytest.approx(1.0, rel=1e-10)
+
+    @pytest.mark.parametrize("x,y,t", [(1.0, 1.0, 0.5), (-1.0, 1.0, 0.5), (30.0, 30.0, 1.0)])
+    def test_stops_at_first_zero_past_the_peak(self, monkeypatch, x, y, t):
+        # At (30, 30, 1) the first terms underflow too, before the peak near
+        # n = 900; past n = 1300 each term is under half the last.
+        short = series_identity_check(x, y, t, 5000)
+        counting = CountingMath()
+        monkeypatch.setattr(bifrac.bernstein, "math", counting)
+        res = series_identity_check(x, y, t, 10**6)
+        assert counting.calls["exp"] < 5000
+        assert res == (short.lhs, short.rhs_partial, 0.0)
+        assert short.remainder_bound == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

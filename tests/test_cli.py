@@ -328,6 +328,24 @@ class TestBernsteinGapCmd:
         out = json.loads(capsys.readouterr().out)
         assert (out["e_plus"], out["e_minus"]) == (2.0245799566579428, 1.556)
 
+    @pytest.mark.parametrize(
+        "atoms,g,gap",
+        [
+            ([(0.0, 0.5), (1.0, 0.5)], {"a": 0, "b": 0, "mu": [{"t": 1e308, "w": 1}]}, 0.25),
+            ([(-1e-150, 0.5), (1e-150, 0.5)], {"a": 0, "b": 1e308}, 0.0),
+        ],
+        ids=["t", "b"],
+    )
+    def test_coefficient_past_quarter_dbl_max(self, tmp_path, capsys, atoms, g, gap):
+        # 4*t or 4*b overflows alone, but not against uv = 0
+        d = tmp_path / "d.json"
+        d.write_text(json.dumps(dist_to_json(DiscreteDist(atoms))))
+        (tmp_path / "g.json").write_text(json.dumps(g))
+        assert main(["bernstein-gap", "-d", str(d), "-g", str(tmp_path / "g.json")]) == 0
+        out, err = capsys.readouterr()
+        assert strict_json(out)["gap"] == gap
+        assert err == ""
+
     def test_malformed_bernstein_exits_2(self, dist_file, tmp_path):
         g = tmp_path / "g.json"
         g.write_text(json.dumps({"a": -1.0, "b": 0.0}))
@@ -348,6 +366,19 @@ class TestSeriesCheckCmd:
         out = strict_json(r.stdout)
         assert out["remainder_bound"] is None
         assert out["lhs"] == 1.0
+
+    def test_billion_terms_stop_early(self):
+        # every term past the first hundred or so is 0.0
+        args = ["series-check", "--x", "1", "--y", "1", "--t", "0.5", "--n-terms"]
+        r = subprocess.run(
+            [sys.executable, "-m", "bifrac", *args, "1000000000"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert r.returncode == 0
+        out = strict_json(r.stdout)
+        assert out == {**strict_json(run_cli(*args, "1000").stdout), "remainder_bound": 0.0}
 
     def test_bad_t_exits_2(self):
         assert run_cli("series-check", "--x", "1", "--y", "1", "--t", "0", "--n-terms", "5").returncode == 2

@@ -27,6 +27,7 @@ from bifrac import (
 )
 
 from bifrac import gpsim
+from bifrac._rng import substream
 from _support import random_domain_params
 
 
@@ -219,6 +220,55 @@ class TestSamplePaths:
         big = sample_paths(p, g, gpsim.CHUNK_ROWS + 10, seed=9)
         small = sample_paths(p, g, 5, seed=9)
         assert np.array_equal(big.paths[:5], small.paths)
+
+
+def _index_list_factor(m):
+    """The factor by an index list of the t != 0 coordinates, as ``np.ix_``
+    copies; the reference for the leading-offset slices of ``_factor``."""
+    nonzero = [i for i, t in enumerate(m.grid.points) if t != 0.0]
+    sub = m.entries[np.ix_(nonzero, nonzero)]
+    diag = sub.diagonal().copy()
+    for jitter in gpsim._JITTERS:
+        np.fill_diagonal(sub, diag + jitter * m.scale)
+        try:
+            return nonzero, np.linalg.cholesky(sub)
+        except np.linalg.LinAlgError:
+            continue
+    raise AssertionError("reference factorization failed")
+
+
+class TestLeadingZeroOffset:
+    """The t = 0 coordinate can only be the first, so the factor and the
+    draws fill ``[z:, z:]`` and ``[rows, z:]`` slices; they must equal the
+    index-list construction bit for bit."""
+
+    P = validate_params(0.35, 1.4)
+    GRIDS = {
+        "from-zero": TimeGrid.regular(0.0, 0.25, 30),
+        "from-step": TimeGrid.regular(0.25, 0.25, 30),
+        "zero-only": TimeGrid((0.0,)),
+    }
+
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_cholesky_factor(self, name):
+        m = build_cov_matrix(self.P, self.GRIDS[name])
+        nonzero, l_sub = _index_list_factor(m)
+        full = np.zeros(m.entries.shape)
+        full[np.ix_(nonzero, nonzero)] = l_sub
+        assert cholesky_factor(m).tobytes() == full.tobytes()
+        assert gpsim._factor(m)[0] == int(name != "from-step")
+
+    @pytest.mark.parametrize("name", ["from-zero", "from-step"])
+    @pytest.mark.parametrize("m", [1, gpsim.CHUNK_ROWS + 1])
+    def test_sample_paths(self, name, m):
+        grid = self.GRIDS[name]
+        nonzero, l_sub = _index_list_factor(build_cov_matrix(self.P, grid))
+        paths = np.zeros((m, len(grid)))
+        for chunk, start in enumerate(range(0, m, gpsim.CHUNK_ROWS)):
+            rows = min(gpsim.CHUNK_ROWS, m - start)
+            z = substream(13, 0, chunk).standard_normal((rows, len(nonzero)))
+            paths[start : start + rows, nonzero] = z @ l_sub.T
+        assert sample_paths(self.P, grid, m, seed=13).paths.tobytes() == paths.tobytes()
 
 
 def _written(arr) -> bytes:
