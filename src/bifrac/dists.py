@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -129,16 +130,25 @@ class DiscreteDist:
         # start[b] <= k - 1 for b < G, since cdf[-1] == 1.0 > b/G.
         vals = np.where(start[1:] == start[:-1], xs[start[:-1]], np.nan)
         cdf *= buckets
+        scratch = threading.local()  # u and bucket scratch of this thread's draws into out
 
-        def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-            u = rng.random(size)
+        def draw(rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
+            if out is None:
+                u, b, out = np.empty(size), np.empty(size, np.intp), np.empty(size)
+            else:
+                if len(getattr(scratch, "u", ())) < size:
+                    scratch.u, scratch.b = np.empty(size), np.empty(size, np.intp)
+                u, b = scratch.u[:size], scratch.b[:size]
+            rng.random(out=u)
             u *= buckets
-            out = vals[u.astype(np.intp)]
+            np.copyto(b, u, casting="unsafe")  # as u.astype(np.intp)
+            # b < G always; mode="raise" would buffer out.
+            np.take(vals, b, out=out, mode="clip")
             j = np.flatnonzero(np.isnan(out))
             out[j] = xs[cdf.searchsorted(u[j], side="right")]
             return out
 
-        return Sampler(draw=draw, moment_hint=math.inf)
+        return Sampler(draw=draw, moment_hint=math.inf, fills=True)
 
 
 @dataclass(frozen=True)
@@ -149,15 +159,26 @@ class Sampler:
     state; all randomness flows through the explicit ``rng`` argument.
     ``moment_hint`` is the largest order alpha for which E|X|**alpha is
     known finite (math.inf when all moments exist).
+
+    ``fills`` says that ``draw(rng, size, out=a)`` is also accepted: it
+    writes the values ``draw(rng, size)`` returns into ``a``, a C-contiguous
+    float64 array of ``size`` values, and returns ``a``; each thread may
+    draw into its own ``a`` at the same time.  gap_mc keeps x and y in such
+    buffers, one pair per worker, and calls any other sampler for new arrays.
     """
 
-    draw: Callable[[np.random.Generator, int], np.ndarray]
+    draw: Callable[..., np.ndarray]
     moment_hint: float | None = None
+    fills: bool = False
 
 
 def normal_sampler() -> Sampler:
     """Standard normal sampler (all moments finite)."""
-    return Sampler(draw=lambda rng, size: rng.standard_normal(size), moment_hint=math.inf)
+    return Sampler(
+        draw=lambda rng, size, out=None: rng.standard_normal(size, out=out),
+        moment_hint=math.inf,
+        fills=True,
+    )
 
 
 def expect(d: DiscreteDist, f: Callable[[float], float]) -> float:

@@ -202,19 +202,32 @@ def gap_via_variance(d: DiscreteDist, alpha: float) -> GapReport:
     return GapReport(alpha=alpha, e_plus=e_plus, e_minus=e_plus - gap, route="variance")
 
 
-def _mc_chunk(s: Sampler, alpha: float, seed: int, chunk: int, size: int):
+def _mc_chunk(s: Sampler, alpha: float, seed: int, chunk: int, size: int, work):
     """``(sum ap, sum am, sum dv, sum (dv - mean dv)**2)`` over one chunk of
     pairs, with ap = |x+y|**alpha, am = |x-y|**alpha and dv = ap - am.
+
+    ``work`` is three float64 arrays of at least ``size`` values, owned by
+    the calling worker: a sampler that ``fills`` draws x and y into the first
+    two, am is written over y and ap, then dv, into the third.  Any other
+    sampler's draws are read-only (it may return cached or shared arrays),
+    and ap and am are new arrays of their ``result_type``.
 
     Overflow is not warned about here but reported by gap_mc; the errstate is
     set in this function because pool threads do not inherit the caller's.
     """
-    x = s.draw(substream(seed, 0, chunk), size)
-    y = s.draw(substream(seed, 1, chunk), size)
-    # x and y are read-only: a sampler may return cached or shared arrays.
-    dtype = np.result_type(x, y, alpha, 1.0)  # floating, for the centring below
+    if s.fills:
+        x, y, ap = (w[:size] for w in work)
+        s.draw(substream(seed, 0, chunk), size, out=x)
+        s.draw(substream(seed, 1, chunk), size, out=y)
+        am, dtype = y, y.dtype  # x - y is written over y
+    else:
+        x = s.draw(substream(seed, 0, chunk), size)
+        y = s.draw(substream(seed, 1, chunk), size)
+        ap = am = None
+        dtype = np.result_type(x, y, alpha, 1.0)  # floating, for the centring below
     with np.errstate(over="ignore", invalid="ignore"):
-        ap, am = np.add(x, y, dtype=dtype), np.subtract(x, y, dtype=dtype)
+        ap = np.add(x, y, out=ap, dtype=dtype)
+        am = np.subtract(x, y, out=am, dtype=dtype)
         for a in (ap, am):
             np.abs(a, out=a)
             a **= alpha  # the dispatch of ``a ** alpha``, scalar fast paths included
@@ -257,16 +270,26 @@ def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> Gap
         )
     sizes = [min(MC_CHUNK, n - start) for start in range(0, n, MC_CHUNK)]
     threads = min(workers, len(sizes), _usable_cpus())
+    # One workspace per worker for all of its chunks, so no chunk allocates
+    # (and page-faults in) arrays that grow with its size.  No more than
+    # ``threads`` chunks run at once, and list.pop and list.append are atomic.
+    spare = [[np.empty(sizes[0]) for _ in range(3)] for _ in range(threads)]
+
+    def run(c: int):
+        work = spare.pop()
+        try:
+            return _mc_chunk(s, alpha, seed, c, sizes[c], work)
+        finally:
+            spare.append(work)
+
     if threads > 1:
         # Imported here: most processes never start a pool.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(
-                pool.map(lambda c: _mc_chunk(s, alpha, seed, c, sizes[c]), range(len(sizes)))
-            )
+            partials = list(pool.map(run, range(len(sizes))))
     else:
-        partials = [_mc_chunk(s, alpha, seed, c, size) for c, size in enumerate(sizes)]
+        partials = list(map(run, range(len(sizes))))
     try:
         sum_p, sum_m, sum_d, within = (math.fsum(column) for column in zip(*partials))
         # Squared deviations within the chunks plus between them (Chan et al.).

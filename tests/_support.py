@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -47,6 +48,34 @@ def random_bernstein(rng, max_mu_atoms=5) -> BernsteinFn:
         (float(rng.uniform(1e-3, 5.0)), float(rng.uniform(1e-3, 3.0))) for _ in range(k)
     )
     return BernsteinFn(a=a, b=b, mu=mu)
+
+
+def gauss_gap(mu: float, sigma: float, alpha: float) -> tuple[float, float]:
+    """``(e_minus, gap)`` for X, Y i.i.d. N(mu, sigma**2) and alpha > 0, in
+    closed form.
+
+    X - Y is N(0, 2 sigma**2), so e_minus = c = 2**alpha sigma**alpha
+    Gamma((alpha+1)/2) / sqrt(pi).  X + Y is N(2 mu, 2 sigma**2), and by
+    Kummer's transformation e_plus = c e**-z 1F1(a; 1/2; z) with
+    z = mu**2 / sigma**2 and a = (1+alpha)/2.  Subtracting c = c e**-z e**z
+    term by term, gap = c e**-z sum_{n>=1} z**n/n! ((a)_n/(1/2)_n - 1),
+    whose terms are all positive, so the sum does not cancel.
+    """
+    z = (mu / sigma) ** 2
+    a = (1.0 + alpha) / 2.0
+    c = 2.0**alpha * sigma**alpha * math.gamma(a) / math.sqrt(math.pi)
+    power = ratio = 1.0  # z**n/n! and (a)_n/(1/2)_n
+    terms = []
+    n = 0
+    while True:
+        n += 1
+        power *= z / n
+        ratio *= (a + n - 1) / (n - 0.5)
+        terms.append(power * (ratio - 1.0))
+        # Past n > z the terms fall at least geometrically.
+        if n > 2 * z + 10 and terms[-1] <= 1e-18 * terms[0]:
+            break
+    return c, c * math.exp(-z) * math.fsum(terms)
 
 
 def random_domain_params(rng) -> tuple[float, float]:

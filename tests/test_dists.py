@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from bifrac import (
     normal_sampler,
 )
 from bifrac._rng import substream
+from bifrac.inequality import MC_CHUNK
 
 from _support import random_dist
 
@@ -186,6 +189,71 @@ class TestSamplers:
         draws = s.draw(np.random.Generator(np.random.Philox(7)), 100_000)
         assert abs(draws.mean()) < 0.02
         assert abs(draws.std() - 1.0) < 0.02
+
+
+_FILLING_LAWS = {
+    "two_atoms": DiscreteDist([(-1.0, 0.3), (2.5, 0.7)]),
+    "atom_at_zero": DiscreteDist([(-1.5, 0.2), (0.0, 0.5), (1.0, 0.3)]),
+    "cauchy_700": DiscreteDist(
+        [(x, 1 / 700) for x in np.unique(np.random.default_rng(49).standard_cauchy(700)).tolist()]
+    ),
+    "normal": None,
+}
+
+
+class TestDrawInto:
+    """Samplers that ``fills``: a draw into ``out`` is the plain draw."""
+
+    @staticmethod
+    def _sampler(name):
+        d = _FILLING_LAWS[name]
+        s = normal_sampler() if d is None else d.sampler()
+        assert s.fills
+        return s
+
+    @pytest.mark.parametrize("size", [1, 777, MC_CHUNK])
+    @pytest.mark.parametrize("name", list(_FILLING_LAWS))
+    def test_fill_is_the_plain_draw(self, name, size):
+        s = self._sampler(name)
+        out = np.full(size, np.nan)
+        got = s.draw(substream(11, 1, 2), size, out=out)
+        assert got is out
+        want = s.draw(substream(11, 1, 2), size)
+        assert want.dtype == out.dtype and np.array_equal(out, want)
+        d = _FILLING_LAWS[name]
+        if d is not None:
+            choice = substream(11, 1, 2).choice(np.array(d.values()), size=size, p=np.array(d.probs()))
+            assert np.array_equal(out, choice)
+
+    @pytest.mark.parametrize("name", list(_FILLING_LAWS))
+    def test_threads_fill_as_one_after_the_other(self, name):
+        # Two threads fill from one sampler at once, each through its own
+        # buffers, with a short switch interval so they interleave; every
+        # fill must equal the same draw made alone.
+        s = self._sampler(name)
+        sizes = [1, 777, MC_CHUNK] * 4
+        want = [s.draw(substream(12, t, c), size) for t in range(2) for c, size in enumerate(sizes)]
+        got = [[], []]
+        start = threading.Barrier(2, timeout=30)
+
+        def fill(t):
+            start.wait()
+            for c, size in enumerate(sizes):
+                got[t].append(s.draw(substream(12, t, c), size, out=np.full(size, np.nan)).copy())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill, args=(t,)) for t in range(2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert [len(g) for g in got] == [len(sizes)] * 2
+        assert all(map(np.array_equal, got[0] + got[1], want))
 
 
 class TestJson:

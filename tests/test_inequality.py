@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,12 +21,13 @@ from bifrac import (
     gap_mc,
     gap_tail_integral,
     gap_via_variance,
+    normal_sampler,
     supnorm_bound,
 )
 from bifrac._rng import substream
 from bifrac.inequality import MC_CHUNK, _gap_mc_law, _mc_chunk
 
-from _support import mirrored_support_dist, random_dist, symmetric_dist
+from _support import gauss_gap, mirrored_support_dist, random_dist, symmetric_dist
 
 ALPHAS = (0.1, 0.5, 1.0, 1.3, 1.7, 2.0)
 
@@ -415,7 +417,27 @@ class TestGapMc:
         sum_d = float(np.sum(dv))
         dv -= sum_d / size
         want = (float(np.sum(ap)), float(np.sum(am)), sum_d, float(np.sum(dv * dv)))
-        assert _mc_chunk(sampler, alpha, 5, 3, size) == want
+        work = [np.full(MC_CHUNK, np.nan) for _ in range(3)]
+        assert _mc_chunk(sampler, alpha, 5, 3, size, work) == want
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunks_fault_in_no_new_memory(self, workers):
+        # Each worker keeps its buffers for all of its chunks, so 28 more
+        # chunks add no page faults that grow with the chunk count (about
+        # 480 per chunk if each one allocated its arrays anew).
+        import resource
+
+        rng = np.random.default_rng(50)
+        d = DiscreteDist([(x, 1 / 127) for x in rng.uniform(-5.0, 5.0, 127).tolist()])
+        s = d.sampler()
+        gap_mc(s, 1.3, 4 * MC_CHUNK, seed=1, workers=workers)  # lazy imports and first buffers
+        faults = []
+        for chunks in (4, 32):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            gap_mc(s, 1.3, chunks * MC_CHUNK, seed=1, workers=workers)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert faults[1] - faults[0] < 1000, faults
 
     def test_integer_draws(self):
         # Integer draws are summed as floats, whether alpha is an int or not.
@@ -484,6 +506,70 @@ class TestGapMc:
         s = Sampler(draw=lambda rng, size: rng.standard_normal(size), moment_hint=1.0)
         with pytest.raises(ValueError):
             gap_mc(s, 1.5, 100, seed=0)
+
+
+def _normal(mu, sigma):
+    """N(mu, sigma**2), drawn through normal_sampler into gap_mc's buffers."""
+    standard = normal_sampler()
+
+    def draw(rng, size, out=None):
+        out = standard.draw(rng, size, out=out)
+        out *= sigma
+        out += mu
+        return out
+
+    return Sampler(draw=draw, moment_hint=math.inf, fills=True)
+
+
+def _gauss_stderr(mu, sigma, alpha, n):
+    """Standard error of the mean of dv = |X+Y|**alpha - |X-Y|**alpha over n
+    pairs.  X+Y and X-Y are uncorrelated jointly normal, so independent, and
+    Var dv = E|X+Y|**(2 alpha) + E|X-Y|**(2 alpha)
+             - 2 E|X+Y|**alpha E|X-Y|**alpha - gap**2."""
+    e_minus, gap = gauss_gap(mu, sigma, alpha)
+    e2_minus, gap2 = gauss_gap(mu, sigma, 2 * alpha)
+    var = 2 * e2_minus + gap2 - 2 * (e_minus + gap) * e_minus - gap**2
+    return math.sqrt(var / n)
+
+
+class TestGaussianOracle:
+    """gap_mc on N(mu, sigma**2) against the closed form of gauss_gap."""
+
+    CASES = [(0.3, 1.0, 0.2), (1.0, 2.0, 0.7), (-1.5, 0.5, 1.0), (2.0, 1.0, 1.5), (0.5, 3.0, 2.0)]
+
+    def test_consistency_rate(self):
+        # >= 95% of 100 (case, seed) runs land within 4 stderr of the
+        # closed form, and each stderr is near its closed form.
+        n, hits = 100_000, 0
+        for mu, sigma, alpha in self.CASES:
+            e_minus, gap = gauss_gap(mu, sigma, alpha)
+            for seed in range(20):
+                r = gap_mc(_normal(mu, sigma), alpha, n, seed=seed, workers=2)
+                assert r.stderr == pytest.approx(_gauss_stderr(mu, sigma, alpha, n), rel=0.05)
+                hits += abs(r.gap - gap) <= 4 * r.stderr
+        assert hits >= 95
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.8])
+    def test_near_symmetric(self, alpha):
+        # mu / sigma = 1e-3: the gap (about alpha * 1e-6 * e_minus) is far
+        # below the noise, and stderr must be the spread of dv about its own
+        # mean, as the closed form gives it.
+        mu, sigma, n = 2e-3, 2.0, 10**6
+        e_minus, gap = gauss_gap(mu, sigma, alpha)
+        assert 0 < gap < 1e-5 * e_minus
+        r = gap_mc(_normal(mu, sigma), alpha, n, seed=51, workers=2)
+        assert r.e_minus == pytest.approx(e_minus, rel=0.01)
+        assert abs(r.gap - gap) <= 4 * r.stderr
+        assert r.stderr == pytest.approx(_gauss_stderr(mu, sigma, alpha, n), rel=0.01)
+
+    @pytest.mark.parametrize("mu,sigma", [(0.5, 1.0), (-3.0, 0.25), (1e-3, 1.0)])
+    def test_alpha_two_gap_is_four_mean_squared(self, mu, sigma):
+        # E|X+Y|**2 - E|X-Y|**2 = 4 E[XY] = 4 mu**2.
+        e_minus, gap = gauss_gap(mu, sigma, 2.0)
+        assert e_minus == pytest.approx(2 * sigma**2, rel=1e-14)
+        assert gap == pytest.approx(4 * mu**2, rel=1e-14)
+        r = gap_mc(_normal(mu, sigma), 2.0, 200_000, seed=52)
+        assert abs(r.gap - 4 * mu**2) <= 4 * r.stderr
 
 
 class TestSupnormBound:
