@@ -9,8 +9,11 @@ DiscreteDist.sampler draws through a guide table (Chen & Asau 1974;
 Devroye 1986, section III.2.4) built once per sampler: one table of atom
 values over G buckets of [0, 1), NaN in the buckets that hold a CDF
 breakpoint.  G is a power of two, so scaling the uniforms and the CDF by G is
-exact.  It reads the same uniforms and returns the same stream as
-``Generator.choice(xs, size, p=ps)``.
+exact.  On the 64-bit generators (Philox, PCG64, SFC64) it takes the bucket
+from the top bits of the raw words a uniform is made of; a draw in a NaN
+bucket is resolved against the one breakpoint inside it, or, where the
+bucket holds several, by a search of the whole CDF.  It reads the same
+uniforms and returns the same stream as ``Generator.choice(xs, size, p=ps)``.
 """
 
 from __future__ import annotations
@@ -42,8 +45,16 @@ _SUM_TOL = 1e-12
 PAIR_BLOCK = 1 << 15
 
 # Largest bucket count of the guide table in DiscreteDist.sampler (8 MB of
-# float64 values), so its memory stops growing with k past 2**15 atoms.
+# float64 values and 8 MB of bucket starts), so its memory stops growing
+# with k past 2**15 atoms.
 GUIDE_BUCKETS_MAX = 1 << 20
+
+
+def _top53_words() -> tuple[type, ...]:
+    """Bit generators whose ``random()`` is ``(w >> 11) * 2**-53`` for one
+    word w of ``random_raw`` (test_dists.py pins it), so a draw may read the
+    words.  A function, since ``import bifrac`` does not load numpy.random."""
+    return (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
 
 
 class DiscreteDist:
@@ -117,35 +128,60 @@ class DiscreteDist:
         Bucket b of a guide table holds the u in [b/G, (b+1)/G); where no CDF
         breakpoint falls inside it, every such u draws the same atom, whose
         value the table holds.  The other buckets (at most k of the G) hold
-        NaN, which no atom is, and only their draws are searched.  G is the
-        least power of two >= 32k, capped at GUIDE_BUCKETS_MAX; as a power of
-        two it scales u and the CDF exactly, so ``u * G`` is searched in
-        ``cdf * G`` with every comparison unchanged.
+        NaN, which no atom is, and only their draws (hits) are resolved.  G
+        is the least power of two >= 32k, capped at GUIDE_BUCKETS_MAX; as a
+        power of two it scales u and the CDF exactly, so ``u * G`` is compared
+        with ``cdf * G`` with every comparison unchanged.
+
+        On the generators of ``_top53_words()``, u is ``(w >> 11) * 2**-53``
+        for one 64-bit word w, so the draw reads the words of
+        ``bit_generator.random_raw`` instead, a new array per draw since it
+        has no ``out=``: the bucket is ``w >> (64 - g)`` for G = 2**g, and
+        ``u * G = (w >> 11) * (G / 2**53)`` is formed only for the hits.
+        Other generators (MT19937 makes u of two 32-bit words) draw u.
+
+        Bucket b holds the breakpoints start[b] <= i < start[b + 1], start[b]
+        the index of the first ``cdf > b/G``.  A hit in a bucket with one
+        breakpoint draws atom ``start[b] + (cdf[start[b]] <= u)``; only the
+        hits in buckets with more are searched in the whole CDF.
         """
         xs = np.array(self.values(), dtype=np.float64)
         cdf = np.array(self.probs(), dtype=np.float64).cumsum()
         cdf /= cdf[-1]
         buckets = min(1 << (32 * len(cdf) - 1).bit_length(), GUIDE_BUCKETS_MAX)
+        shift = 64 - (buckets.bit_length() - 1)
         start = cdf.searchsorted(np.arange(buckets + 1) / buckets, side="right")
         # start[b] <= k - 1 for b < G, since cdf[-1] == 1.0 > b/G.
         vals = np.where(start[1:] == start[:-1], xs[start[:-1]], np.nan)
         cdf *= buckets
-        scratch = threading.local()  # u and bucket scratch of this thread's draws into out
+        top53 = _top53_words()
+        scratch = threading.local()  # bucket scratch of this thread's draws into out
 
         def draw(rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
             if out is None:
-                u, b, out = np.empty(size), np.empty(size, np.intp), np.empty(size)
+                b, out = np.empty(size, np.intp), np.empty(size)
             else:
-                if len(getattr(scratch, "u", ())) < size:
-                    scratch.u, scratch.b = np.empty(size), np.empty(size, np.intp)
-                u, b = scratch.u[:size], scratch.b[:size]
-            rng.random(out=u)
-            u *= buckets
-            np.copyto(b, u, casting="unsafe")  # as u.astype(np.intp)
+                if len(getattr(scratch, "b", ())) < size:
+                    scratch.b = np.empty(size, np.intp)
+                b = scratch.b[:size]
+            if type(rng.bit_generator) in top53:
+                words, u = rng.bit_generator.random_raw(size), None  # no out=: a new array
+                np.right_shift(words, shift, out=b.view(np.uint64))
+            else:
+                u = rng.random(size)
+                u *= buckets
+                np.copyto(b, u, casting="unsafe")  # as u.astype(np.intp)
             # b < G always; mode="raise" would buffer out.
             np.take(vals, b, out=out, mode="clip")
             j = np.flatnonzero(np.isnan(out))
-            out[j] = xs[cdf.searchsorted(u[j], side="right")]
+            hit = b[j]
+            ug = (words[j] >> 11) * (buckets / 2**53) if u is None else u[j]  # u * G, exactly
+            lo = start[hit]
+            at = lo + (cdf[lo] <= ug)
+            many = start[hit + 1] - lo > 1
+            if many.any():
+                at[many] = cdf.searchsorted(ug[many], side="right")
+            out[j] = xs[at]
             return out
 
         return Sampler(draw=draw, moment_hint=math.inf, fills=True)

@@ -208,9 +208,16 @@ def _mc_chunk(s: Sampler, alpha: float, seed: int, chunk: int, size: int, work):
 
     ``work`` is three float64 arrays of at least ``size`` values, owned by
     the calling worker: a sampler that ``fills`` draws x and y into the first
-    two, am is written over y and ap, then dv, into the third.  Any other
+    two, am is written over y and ap, then dv, into the third; the mask of
+    zero lanes below overwrites x, which is not read after x - y.  Any other
     sampler's draws are read-only (it may return cached or shared arrays),
-    and ap and am are new arrays of their ``result_type``.
+    and ap, am and the mask are new arrays.
+
+    numpy's AVX-512 pow takes a slow path on each lane that is exactly 0,
+    and |x - y| is 0 with probability sum p**2 for a discrete law (at least
+    1/2 for two atoms).  Where more than 1/32 of the lanes are 0, they are
+    set to 1.0 before the power and back to 0.0 after it: pow(1, alpha) is
+    exactly 1, and adding or subtracting 0 keeps the other lanes' bits.
 
     Overflow is not warned about here but reported by gap_mc; the errstate is
     set in this function because pool threads do not inherit the caller's.
@@ -220,17 +227,24 @@ def _mc_chunk(s: Sampler, alpha: float, seed: int, chunk: int, size: int, work):
         s.draw(substream(seed, 0, chunk), size, out=x)
         s.draw(substream(seed, 1, chunk), size, out=y)
         am, dtype = y, y.dtype  # x - y is written over y
+        zero = work[0].view(np.bool_)[:size]  # x is not read after x - y
     else:
         x = s.draw(substream(seed, 0, chunk), size)
         y = s.draw(substream(seed, 1, chunk), size)
-        ap = am = None
+        ap = am = zero = None
         dtype = np.result_type(x, y, alpha, 1.0)  # floating, for the centring below
     with np.errstate(over="ignore", invalid="ignore"):
         ap = np.add(x, y, out=ap, dtype=dtype)
         am = np.subtract(x, y, out=am, dtype=dtype)
         for a in (ap, am):
             np.abs(a, out=a)
+            zero = np.equal(a, 0, out=zero)
+            some = np.count_nonzero(zero) > size >> 5
+            if some:
+                a += zero
             a **= alpha  # the dispatch of ``a ** alpha``, scalar fast paths included
+            if some:
+                a -= zero
         sum_p, sum_m = float(np.sum(ap)), float(np.sum(am))
         dv = np.subtract(ap, am, out=ap)
         sum_d = float(np.sum(dv))

@@ -1,9 +1,13 @@
-"""Shared corpus generators for the randomized sweeps."""
+"""Shared corpus generators for the randomized sweeps, and a runner for
+checks on numpy's kernels without AVX-512."""
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -94,3 +98,25 @@ def _reject_constant(name):
 def strict_json(text: str):
     """``json.loads`` that also rejects NaN, Infinity and -Infinity."""
     return json.loads(text, parse_constant=_reject_constant)
+
+
+# numpy CPU features whose kernels a check turns off, so that numpy's SIMD
+# loops take their AVX2 or baseline paths.
+AVX512_FEATURES = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def has_avx512() -> bool:
+    """Whether this CPU runs numpy's X86_V4 (AVX-512) kernels."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("X86_V4"))
+
+
+def run_without_avx512(code: str) -> subprocess.CompletedProcess:
+    """``python -c code tests_dir`` with AVX512_FEATURES disabled, where
+    tests_dir is this directory (for ``sys.path``)."""
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX512_FEATURES)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    return subprocess.run([sys.executable, "-c", code, tests], capture_output=True, text=True, env=env)

@@ -397,6 +397,13 @@ class TestImportCost:
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "False"
 
+    def test_import_leaves_out_numpy_random(self):
+        # numpy.random (about 16 ms) loads with the first generator or sampler.
+        code = "import sys, bifrac.cli; print('numpy.random' in sys.modules)"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"
+
     # Every bifrac module a subcommand loads beyond bifrac, cli, errors and
     # dists.  So `gap` never loads gpsim, bernstein or counterexample, and
     # `cov`, `psd-check` and `sample` never load inequality, bernstein or

@@ -145,6 +145,14 @@ def _sampled_law(k: int, shape: str, seed: int) -> DiscreteDist:
     return DiscreteDist(list(zip(xs.tolist(), (ws / math.fsum(ws)).tolist())))
 
 
+def _clustered_law() -> DiscreteDist:
+    """10 atoms of mass 1, each followed by 4 of mass 1e-7, normalized: the
+    guide buckets at the 10 heavy breakpoints each hold 5 breakpoints."""
+    ws = [1.0 if i % 5 == 0 else 1e-7 for i in range(50)]
+    total = math.fsum(ws)
+    return DiscreteDist([(float(i), w / total) for i, w in enumerate(ws)])
+
+
 class TestSamplers:
     def test_discrete_sampler_deterministic(self):
         d = DiscreteDist([(-1.0, 0.25), (0.0, 0.25), (3.0, 0.5)])
@@ -175,6 +183,7 @@ class TestSamplers:
     @example(_sampled_law(2, "spread", 3), 0, 1, 2, 1)
     @example(_sampled_law(300, "even", 4), 9, 0, 0, 0)
     @example(_sampled_law(40_000, "even", 5), 3, 1, 0, 65_536)
+    @example(_clustered_law(), 31, 0, 4, 65_536)
     def test_discrete_sampler_matches_choice(self, d, seed, stream, chunk, size):
         # rng.choice is the reference: the guide table must return its stream.
         xs, ps = np.array(d.values()), np.array(d.probs())
@@ -182,6 +191,29 @@ class TestSamplers:
         want = substream(seed, stream, chunk).choice(xs, size=size, p=ps)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "bits", [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.MT19937]
+    )
+    def test_discrete_sampler_matches_choice_on_other_generators(self, bits):
+        # Raw 64-bit words where they make the uniforms, the uniforms
+        # themselves on MT19937; either way choice's stream, into out or not.
+        for d in (_sampled_law(300, "spread", 6), _clustered_law()):
+            xs, ps = np.array(d.values()), np.array(d.probs())
+            want = np.random.Generator(bits(8)).choice(xs, size=20_000, p=ps)
+            got = d.sampler().draw(np.random.Generator(bits(8)), 20_000)
+            out = d.sampler().draw(np.random.Generator(bits(8)), 20_000, out=np.empty(20_000))
+            assert np.array_equal(got, want) and np.array_equal(out, want)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 1), st.integers(0, 100))
+    def test_substream_uniforms_are_top_53_bits(self, seed, stream, chunk):
+        # The guide table reads the raw words in place of random(); if numpy
+        # changed how it makes a double, this fails instead of the mc stream
+        # moving.
+        words = substream(seed, stream, chunk).bit_generator.random_raw(3000)
+        want = substream(seed, stream, chunk).random(3000)
+        assert np.array_equal(((words >> 11) * 2**-53).view(np.uint64), want.view(np.uint64))
 
     def test_normal_sampler(self):
         s = normal_sampler()

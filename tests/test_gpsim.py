@@ -28,7 +28,7 @@ from bifrac import (
 
 from bifrac import gpsim
 from bifrac._rng import substream
-from _support import random_domain_params
+from _support import has_avx512, random_domain_params, run_without_avx512
 
 
 class TestBuildCovMatrix:
@@ -368,14 +368,6 @@ print("ok")
 """
 
 
-def _has_avx512() -> bool:
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:
-        return False
-    return bool(__cpu_features__.get("X86_V4"))
-
-
 class TestCsvExport:
     def test_format_and_round_trip(self, tmp_path):
         b = sample_paths(validate_params(0.5, 1.0), TimeGrid((0.0, 1.0, 2.0)), 4, seed=13)
@@ -504,13 +496,9 @@ class TestCsvExport:
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "0"
 
-    @pytest.mark.skipif(not _has_avx512(), reason="needs a CPU with numpy's X86_V4 kernels")
+    @pytest.mark.skipif(not has_avx512(), reason="needs a CPU with numpy's X86_V4 kernels")
     def test_same_without_avx512_kernels(self):
         # numpy's log10 (which only estimates E) takes another SIMD kernel here.
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
-        tests = os.path.dirname(os.path.abspath(__file__))
-        r = subprocess.run(
-            [sys.executable, "-c", _SIMD_CHECK, tests], capture_output=True, text=True, env=env
-        )
+        r = run_without_avx512(_SIMD_CHECK)
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "ok"

@@ -27,12 +27,63 @@ from bifrac import (
 from bifrac._rng import substream
 from bifrac.inequality import MC_CHUNK, _gap_mc_law, _mc_chunk
 
-from _support import gauss_gap, mirrored_support_dist, random_dist, symmetric_dist
+from _support import (
+    gauss_gap,
+    has_avx512,
+    mirrored_support_dist,
+    random_dist,
+    run_without_avx512,
+    symmetric_dist,
+)
 
 ALPHAS = (0.1, 0.5, 1.0, 1.3, 1.7, 2.0)
 
 D01 = DiscreteDist([(0.0, 0.5), (1.0, 0.5)])
 DPM = DiscreteDist([(-1.0, 0.5), (1.0, 0.5)])
+
+
+# Samplers for the _mc_chunk checks.  |x - y| is 0 in 38-58% of the lanes
+# of the first three laws, and |x + y| in half of the mirrored law's.
+_CHUNK_SAMPLERS = {
+    "two_atoms": DiscreteDist([(-1.0, 0.3), (2.5, 0.7)]).sampler(),
+    "mirrored": DPM.sampler(),
+    "atom_at_zero": DiscreteDist([(-1.5, 0.2), (0.0, 0.5), (1.0, 0.3)]).sampler(),
+    "cauchy_700": DiscreteDist(
+        [(x, 1 / 700) for x in np.unique(np.random.default_rng(49).standard_cauchy(700)).tolist()]
+    ).sampler(),
+    "int_draws": Sampler(draw=lambda rng, size: rng.integers(-3, 4, size), moment_hint=math.inf),
+}
+
+# 0.5 and 2.0 take numpy's sqrt and square fast paths for a ** alpha.
+_CHUNK_ALPHAS = (0.3, 0.5, 1.0, 1.3, 2.0)
+
+
+def _chunk_sums(name, size, alpha):
+    work = [np.full(MC_CHUNK, np.nan) for _ in range(3)]
+    return _mc_chunk(_CHUNK_SAMPLERS[name], alpha, 5, 3, size, work)
+
+
+def _chunk_reference(name, size, alpha):
+    """_mc_chunk's sums from the same draws, by the plain array formula."""
+    sampler = _CHUNK_SAMPLERS[name]
+    x, y = sampler.draw(substream(5, 0, 3), size), sampler.draw(substream(5, 1, 3), size)
+    ap, am = np.abs(x + y) ** alpha, np.abs(x - y) ** alpha
+    dv = ap - am
+    sum_d = float(np.sum(dv))
+    dv -= sum_d / size
+    return float(np.sum(ap)), float(np.sum(am)), sum_d, float(np.sum(dv * dv))
+
+
+_ZERO_LANE_CHECK = """
+import sys
+sys.path[:0] = [sys.argv[1]]
+from test_inequality import MC_CHUNK, _CHUNK_ALPHAS, _chunk_reference, _chunk_sums
+for name in ("two_atoms", "mirrored", "atom_at_zero"):
+    for alpha in _CHUNK_ALPHAS:
+        for size in (MC_CHUNK, 777):
+            assert _chunk_sums(name, size, alpha) == _chunk_reference(name, size, alpha), (name, alpha)
+print("ok")
+"""
 
 
 def pair_oracle(d, g):
@@ -395,30 +446,19 @@ class TestGapMc:
         assert reports[0] == reports[1] == reports[2]
         assert np.array_equal(base, kept)
 
-    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.3, 2.0])
+    @pytest.mark.parametrize("alpha", _CHUNK_ALPHAS)
     @pytest.mark.parametrize("size", [MC_CHUNK, 777])
-    @pytest.mark.parametrize(
-        "sampler",
-        [
-            DiscreteDist([(-1.0, 0.3), (2.5, 0.7)]).sampler(),
-            DiscreteDist([(-1.5, 0.2), (0.0, 0.5), (1.0, 0.3)]).sampler(),
-            DiscreteDist(
-                [(x, 1 / 700) for x in np.unique(np.random.default_rng(49).standard_cauchy(700)).tolist()]
-            ).sampler(),
-            Sampler(draw=lambda rng, size: rng.integers(-3, 4, size), moment_hint=math.inf),
-        ],
-        ids=["two_atoms", "atom_at_zero", "cauchy_700", "int_draws"],
-    )
-    def test_chunk_matches_reference_formula(self, sampler, size, alpha):
-        # The chunk sums from the same draws, by the plain array formula.
-        x, y = sampler.draw(substream(5, 0, 3), size), sampler.draw(substream(5, 1, 3), size)
-        ap, am = np.abs(x + y) ** alpha, np.abs(x - y) ** alpha
-        dv = ap - am
-        sum_d = float(np.sum(dv))
-        dv -= sum_d / size
-        want = (float(np.sum(ap)), float(np.sum(am)), sum_d, float(np.sum(dv * dv)))
-        work = [np.full(MC_CHUNK, np.nan) for _ in range(3)]
-        assert _mc_chunk(sampler, alpha, 5, 3, size, work) == want
+    @pytest.mark.parametrize("name", list(_CHUNK_SAMPLERS))
+    def test_chunk_matches_reference_formula(self, name, size, alpha):
+        assert _chunk_sums(name, size, alpha) == _chunk_reference(name, size, alpha)
+
+    @pytest.mark.skipif(not has_avx512(), reason="needs a CPU with numpy's X86_V4 kernels")
+    def test_zero_lanes_without_avx512_kernels(self):
+        # The zero lanes are set aside for the AVX-512 pow; without it the
+        # chunk sums must still be the plain formula's.
+        r = run_without_avx512(_ZERO_LANE_CHECK)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "ok"
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
     @pytest.mark.parametrize("workers", [1, 2])
