@@ -50,7 +50,6 @@ __all__ = [
 _Z_LIMIT = 650.0
 
 _STOP_ABS = 1e-16
-_MAX_TERMS = 100_000
 
 
 @dataclass(frozen=True)
@@ -194,10 +193,8 @@ def elementary_gap_series(
                 break
         else:
             ratio = z * z / ((2.0 * n + 2.0) * (2.0 * n + 3.0))
-            if ratio < 0.5 and next_coef < _STOP_ABS:
+            if ratio < 0.5 and next_coef < _STOP_ABS:  # by n = 900, since z <= _Z_LIMIT
                 break
-            if n >= _MAX_TERMS:
-                raise NonFiniteError(f"series did not satisfy stopping rule in {_MAX_TERMS} terms")
         coef = next_coef
         states *= ratios2
     ratio = z * z / ((2.0 * n + 2.0) * (2.0 * n + 3.0))
@@ -236,12 +233,24 @@ def series_identity_check(x: float, y: float, t: float, n_terms: int) -> Identit
     log_pref = math.log(2.0) - t * (x * x + y * y)
     log_w = math.log(abs(w))
     sign = 1.0 if w > 0 else -1.0
+
+    def term(n: int) -> float:
+        return sign * math.exp(log_pref + (2 * n + 1) * log_w - math.lgamma(2 * n + 2))
+
+    # Term n+1 over term n is w**2/((2n+2)(2n+3)), so the terms rise to a
+    # peak at most two below n = |w|/2 and fall after it.  Walk out from
+    # there: every term past a 0.0 is 0.0 too, on the way up at once and on
+    # the way down once the terms below are the smaller ones.  So the walk
+    # evaluates about as many terms as are not 0.0: O(sqrt|w|), not O(|w|).
+    top = min(int(abs(w) // 2), n_terms - 1)
     terms = []
-    for n in range(n_terms):
-        log_term = log_pref + (2 * n + 1) * log_w - math.lgamma(2 * n + 2)
-        terms.append(sign * math.exp(log_term))
-        # Once the term ratio is < 1/2 the terms fall, so after a 0.0 all are.
-        if terms[-1] == 0.0 and w * w / ((2.0 * n + 2.0) * (2.0 * n + 3.0)) < 0.5:
+    for n in range(top, -1, -1):
+        terms.append(term(n))
+        if terms[-1] == 0.0 and w * w >= (2.0 * n) * (2.0 * n + 1.0):
+            break
+    for n in range(top + 1, n_terms):
+        terms.append(term(n))
+        if terms[-1] == 0.0:
             break
     rhs_partial = math.fsum(terms)
     log_next = log_pref + (2 * n_terms + 1) * log_w - math.lgamma(2 * n_terms + 2)

@@ -95,8 +95,11 @@ def family_dist(f: CounterFamily) -> DiscreteDist:
 def closed_form_violation(alpha: float, c: float, M: float) -> float:
     """E|X-Y|**alpha - E|X+Y|**alpha for the two-point law, closed form.
 
-    Valid for any alpha > 0 with M >= max(c, 1); negative for alpha <= 2.
+    Valid for any finite alpha > 0 with M >= max(c, 1); negative for
+    alpha <= 2.  Raises NonFiniteError if alpha, c or M is not finite.
     """
+    if not (math.isfinite(alpha) and math.isfinite(c) and math.isfinite(M)):
+        raise NonFiniteError(f"alpha, c, M must be finite, got ({alpha}, {c}, {M})")
     if not alpha > 0:
         raise OutOfDomainError("alpha > 0")
     if not M >= max(c, 1.0):

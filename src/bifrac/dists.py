@@ -200,7 +200,11 @@ class Sampler:
     writes the values ``draw(rng, size)`` returns into ``a``, a C-contiguous
     float64 array of ``size`` values, and returns ``a``; each thread may
     draw into its own ``a`` at the same time.  gap_mc keeps x and y in such
-    buffers, one pair per worker, and calls any other sampler for new arrays.
+    buffers, one pair per worker.  Any other sampler's ``draw(rng, size)``
+    must return ``size`` real values of shape ``(size,)``; gap_mc copies them
+    into the buffers as float64 (so longdouble draws lose their extra
+    precision), never writes to the returned array, and raises ValueError
+    for any other shape or for complex values.
     """
 
     draw: Callable[..., np.ndarray]

@@ -152,8 +152,10 @@ def gap_exact(d: DiscreteDist, alpha: float) -> GapReport:
     alpha may exceed 2, where the gap may be negative; the nonnegativity
     assertion applies only for alpha in (0, 2].  Laws whose pair powers
     would overflow are evaluated rescaled (see :func:`_in_range`); raises
-    NonFiniteError if a moment is not finite.
+    NonFiniteError if alpha or a moment is not finite.
     """
+    if not math.isfinite(alpha):
+        raise NonFiniteError(f"alpha must be finite, got {alpha}")
     if not alpha > 0:
         raise OutOfDomainError("alpha > 0")
     law, back = _in_range(d, alpha)
@@ -207,11 +209,11 @@ def _mc_chunk(s: Sampler, alpha: float, seed: int, chunk: int, size: int, work):
     pairs, with ap = |x+y|**alpha, am = |x-y|**alpha and dv = ap - am.
 
     ``work`` is three float64 arrays of at least ``size`` values, owned by
-    the calling worker: a sampler that ``fills`` draws x and y into the first
-    two, am is written over y and ap, then dv, into the third; the mask of
-    zero lanes below overwrites x, which is not read after x - y.  Any other
-    sampler's draws are read-only (it may return cached or shared arrays),
-    and ap, am and the mask are new arrays.
+    the calling worker.  x and y land in the first two: a sampler that
+    ``fills`` draws into them, and any other sampler's array of ``size``
+    values is copied in (it is only read, so it may be cached, shared or
+    read-only).  am is written over y and ap, then dv, into the third; the
+    mask of zero lanes below overwrites x, which is not read after x - y.
 
     numpy's AVX-512 pow takes a slow path on each lane that is exactly 0,
     and |x - y| is 0 with probability sum p**2 for a discrete law (at least
@@ -222,20 +224,22 @@ def _mc_chunk(s: Sampler, alpha: float, seed: int, chunk: int, size: int, work):
     Overflow is not warned about here but reported by gap_mc; the errstate is
     set in this function because pool threads do not inherit the caller's.
     """
-    if s.fills:
-        x, y, ap = (w[:size] for w in work)
-        s.draw(substream(seed, 0, chunk), size, out=x)
-        s.draw(substream(seed, 1, chunk), size, out=y)
-        am, dtype = y, y.dtype  # x - y is written over y
-        zero = work[0].view(np.bool_)[:size]  # x is not read after x - y
-    else:
-        x = s.draw(substream(seed, 0, chunk), size)
-        y = s.draw(substream(seed, 1, chunk), size)
-        ap = am = zero = None
-        dtype = np.result_type(x, y, alpha, 1.0)  # floating, for the centring below
+    x, y, ap = (w[:size] for w in work)
+    for stream, buf in enumerate((x, y)):
+        rng = substream(seed, stream, chunk)
+        if s.fills:
+            s.draw(rng, size, out=buf)
+        else:
+            drawn = s.draw(rng, size)
+            if np.shape(drawn) != (size,):
+                raise ValueError(f"draw(rng, {size}) returned shape {np.shape(drawn)}, not ({size},)")
+            if np.iscomplexobj(drawn):
+                raise ValueError(f"draw(rng, {size}) returned complex values, not real ones")
+            np.copyto(buf, drawn)
+    am, zero = y, x.view(np.bool_)[:size]  # x - y is written over y; x is not read after it
     with np.errstate(over="ignore", invalid="ignore"):
-        ap = np.add(x, y, out=ap, dtype=dtype)
-        am = np.subtract(x, y, out=am, dtype=dtype)
+        np.add(x, y, out=ap)
+        np.subtract(x, y, out=am)
         for a in (ap, am):
             np.abs(a, out=a)
             zero = np.equal(a, 0, out=zero)

@@ -77,6 +77,23 @@ def series_per_atom(d, t, n_terms=None):
     return math.fsum(terms), bound, n
 
 
+def identity_rhs_from_zero(x, y, t, n_terms):
+    """Reference: series_identity_check's rhs_partial by the loop from n = 0,
+    the same per-term formula, ending at the first 0.0 once the term ratio
+    is below 1/2.  It walks the terms that underflow before the peak too."""
+    w = 2.0 * t * x * y
+    log_pref = math.log(2.0) - t * (x * x + y * y)
+    log_w = math.log(abs(w))
+    sign = 1.0 if w > 0 else -1.0
+    terms = []
+    for n in range(n_terms):
+        log_term = log_pref + (2 * n + 1) * log_w - math.lgamma(2 * n + 2)
+        terms.append(sign * math.exp(log_term))
+        if terms[-1] == 0.0 and w * w / ((2.0 * n + 2.0) * (2.0 * n + 3.0)) < 0.5:
+            break
+    return math.fsum(terms)
+
+
 class TestBernsteinFn:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -413,6 +430,15 @@ class TestElementarySeries:
         res = elementary_gap_series(DiscreteDist([(0.0, 1.0)]), 2.0)
         assert res.value == 0.0 and res.truncation_bound == 0.0
 
+    def test_stopping_rule_ends_near_the_z_limit(self):
+        # At z = 2*t*max|x|**2 just under _Z_LIMIT the automatic rule stops
+        # by n = 900, so it needs no cap on the term count.
+        t = math.nextafter(bifrac.bernstein._Z_LIMIT / 2.0, 0.0)
+        for d in (DiscreteDist([(1.0, 1.0)]), DiscreteDist([(-1.0, 0.25), (0.5, 0.25), (1.0, 0.5)])):
+            res = elementary_gap_series(d, t)
+            assert res.n_terms < 1000
+            assert math.isfinite(res.value) and res.truncation_bound < 1e-16
+
     def test_overflow_guard(self):
         d = DiscreteDist([(50.0, 1.0)])
         with pytest.raises(NonFiniteError):
@@ -488,6 +514,39 @@ class TestSeriesIdentityCheck:
         assert counting.calls["exp"] < 5000
         assert res == (short.lhs, short.rhs_partial, 0.0)
         assert short.remainder_bound == 0.0
+
+    @pytest.mark.parametrize(
+        "x,y,t,n_terms",
+        [
+            (1000.0, 1000.0, 0.5, 10**9),  # peak near n = 5e5
+            (-1000.0, 1000.0, 0.5, 10**9),
+            (1000.0, 1000.0, 0.5, 1000),  # the cutoff is below the peak
+            # w = 2.4: the walk starts at n = 1, one falling step past the
+            # peak, where the term is 0.0 and the term at n = 0 is 5e-324.
+            (27.325073026762688, 0.04391571063047837, 1.0, 10),
+        ],
+    )
+    def test_peak_walk_matches_loop_from_zero(self, x, y, t, n_terms):
+        res = series_identity_check(x, y, t, n_terms)
+        assert res.rhs_partial == identity_rhs_from_zero(x, y, t, n_terms)
+
+    def test_peak_walk_matches_loop_from_zero_at_random_points(self):
+        rng = np.random.default_rng(52)
+        for _ in range(500):
+            x, y = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-3.0, 1.7, 2)
+            t = 10.0 ** float(rng.uniform(-3.0, 0.5))
+            n = int(rng.choice([1, 2, 3, 10, 200, 10**9, int(rng.integers(1, 3000))]))
+            res = series_identity_check(float(x), float(y), t, n)
+            assert res.rhs_partial == identity_rhs_from_zero(float(x), float(y), t, n), (x, y, t, n)
+
+    def test_work_grows_with_the_root_of_w(self, monkeypatch):
+        # w = 9e6: about 38*sqrt(w) = 115,000 terms around the peak are not
+        # 0.0, while the loop from n = 0 evaluates about 4.6 million.
+        counting = CountingMath()
+        monkeypatch.setattr(bifrac.bernstein, "math", counting)
+        res = series_identity_check(3000.0, 3000.0, 0.5, 10**9)
+        assert counting.calls["exp"] < 150_000
+        assert res.rhs_partial == pytest.approx(1.0, rel=1e-8)
 
     def test_validation(self):
         with pytest.raises(ValueError):

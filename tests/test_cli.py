@@ -163,6 +163,19 @@ class TestGap:
         r2 = json.loads(run_cli("gap", "-d", dist_file, "--alpha", "1", "--route", "tail").stdout)
         assert r1["gap"] == r2["gap"]
 
+    @pytest.mark.parametrize("alpha", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "atoms", [[(0.1, 0.5), (0.2, 0.5)], [(0.0, 0.5), (1.0, 0.5)]], ids=["small_atoms", "atom_at_zero"]
+    )
+    def test_exact_route_rejects_non_finite_alpha(self, tmp_path, atoms, alpha):
+        # At alpha = inf the small atoms printed "alpha": null and exited 0.
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(dist_to_json(DiscreteDist(atoms))))
+        r = run_cli("gap", "-d", str(path), "--alpha", alpha, "--route", "exact")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: alpha must be finite")
+
     def test_tail_requires_alpha_one(self, dist_file):
         r = run_cli("gap", "-d", dist_file, "--alpha", "1.5", "--route", "tail")
         assert r.returncode == 2

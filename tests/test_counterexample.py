@@ -7,6 +7,7 @@ import pytest
 from bifrac import (
     CounterFamily,
     DegenerateFamilyError,
+    NonFiniteError,
     OutOfDomainError,
     SearchExhaustedError,
     closed_form_violation,
@@ -120,6 +121,15 @@ class TestViolationExact:
                 scale = abs(a) + b + d
                 err = abs(Fraction(closed_form_violation(float(alpha), c, M)) - (a - b - d))
                 assert err <= Fraction(1e-14) * scale, (c, M, float(err / scale))
+
+    @pytest.mark.parametrize(
+        "alpha,c,M",
+        [(math.inf, 0.5, 2.0), (math.nan, 0.5, 2.0), (3.0, math.nan, 2.0), (3.0, 0.5, math.inf)],
+    )
+    def test_non_finite_arguments_rejected(self, alpha, c, M):
+        # alpha = inf gave NaN.
+        with pytest.raises(NonFiniteError):
+            closed_form_violation(alpha, c, M)
 
     def test_alpha_at_most_two_never_violates(self):
         # the same family can never produce a positive violation for

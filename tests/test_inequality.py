@@ -1,4 +1,6 @@
+import json
 import math
+import subprocess
 import sys
 
 import numpy as np
@@ -52,6 +54,9 @@ _CHUNK_SAMPLERS = {
         [(x, 1 / 700) for x in np.unique(np.random.default_rng(49).standard_cauchy(700)).tolist()]
     ).sampler(),
     "int_draws": Sampler(draw=lambda rng, size: rng.integers(-3, 4, size), moment_hint=math.inf),
+    "float32_draws": Sampler(
+        draw=lambda rng, size: rng.standard_normal(size, dtype=np.float32), moment_hint=math.inf
+    ),
 }
 
 # 0.5 and 2.0 take numpy's sqrt and square fast paths for a ** alpha.
@@ -64,9 +69,10 @@ def _chunk_sums(name, size, alpha):
 
 
 def _chunk_reference(name, size, alpha):
-    """_mc_chunk's sums from the same draws, by the plain array formula."""
+    """_mc_chunk's sums from the same draws as float64, by the plain array
+    formula."""
     sampler = _CHUNK_SAMPLERS[name]
-    x, y = sampler.draw(substream(5, 0, 3), size), sampler.draw(substream(5, 1, 3), size)
+    x, y = (sampler.draw(substream(5, i, 3), size).astype(np.float64) for i in (0, 1))
     ap, am = np.abs(x + y) ** alpha, np.abs(x - y) ** alpha
     dv = ap - am
     sum_d = float(np.sum(dv))
@@ -83,6 +89,35 @@ for name in ("two_atoms", "mirrored", "atom_at_zero"):
         for size in (MC_CHUNK, 777):
             assert _chunk_sums(name, size, alpha) == _chunk_reference(name, size, alpha), (name, alpha)
 print("ok")
+"""
+
+
+# Minor page faults of gap_mc over 32 chunks minus those over 4, per sampler.
+_FAULT_CHECK = """
+import json, math, resource, sys
+import numpy as np
+from bifrac import DiscreteDist, Sampler, gap_mc
+from bifrac._rng import substream
+from bifrac.inequality import MC_CHUNK
+workers = int(sys.argv[1])
+rng = np.random.default_rng(50)
+d = DiscreteDist([(x, 1 / 127) for x in rng.uniform(-5.0, 5.0, 127).tolist()])
+cached = d.sampler().draw(substream(1, 0, 0), MC_CHUNK)
+cached.setflags(write=False)
+samplers = {
+    "fills": d.sampler(),
+    "cached": Sampler(draw=lambda rng, size: cached[:size], moment_hint=math.inf),
+}
+extra = {}
+for name, s in samplers.items():
+    gap_mc(s, 1.3, 4 * MC_CHUNK, seed=1, workers=workers)  # lazy imports and first buffers
+    faults = []
+    for chunks in (4, 32):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        gap_mc(s, 1.3, chunks * MC_CHUNK, seed=1, workers=workers)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    extra[name] = faults[1] - faults[0]
+print(json.dumps(extra))
 """
 
 
@@ -134,6 +169,16 @@ class TestGapExact:
     def test_alpha_validation(self):
         with pytest.raises(OutOfDomainError):
             gap_exact(D01, 0.0)
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "d", [DiscreteDist([(0.1, 0.5), (0.2, 0.5)]), D01], ids=["small_atoms", "atom_at_zero"]
+    )
+    def test_non_finite_alpha_rejected(self, d, alpha):
+        # At alpha = inf the small atoms' moments came out 0 and D01's
+        # rescaling failed on a NaN exponent.
+        with pytest.raises(NonFiniteError):
+            gap_exact(d, alpha)
 
     def test_nonnegativity_sweep(self):
         rng = np.random.default_rng(32)
@@ -465,24 +510,42 @@ class TestGapMc:
     def test_chunks_fault_in_no_new_memory(self, workers):
         # Each worker keeps its buffers for all of its chunks, so 28 more
         # chunks add no page faults that grow with the chunk count (about
-        # 480 per chunk if each one allocated its arrays anew).
-        import resource
-
-        rng = np.random.default_rng(50)
-        d = DiscreteDist([(x, 1 / 127) for x in rng.uniform(-5.0, 5.0, 127).tolist()])
-        s = d.sampler()
-        gap_mc(s, 1.3, 4 * MC_CHUNK, seed=1, workers=workers)  # lazy imports and first buffers
-        faults = []
-        for chunks in (4, 32):
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            gap_mc(s, 1.3, chunks * MC_CHUNK, seed=1, workers=workers)
-            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-        assert faults[1] - faults[0] < 1000, faults
+        # 250 per chunk if each one allocated its arrays anew).  This holds
+        # for a sampler that fills them and for one that returns a cached,
+        # read-only array, which is copied in.  A fresh interpreter counts
+        # them: after other tests, glibc may hand a freed array's pages to
+        # the next one without a fault, which hides per-chunk arrays.
+        r = subprocess.run(
+            [sys.executable, "-c", _FAULT_CHECK, str(workers)], capture_output=True, text=True
+        )
+        assert r.returncode == 0, r.stderr
+        extra = json.loads(r.stdout)
+        assert all(v < 1000 for v in extra.values()), extra
 
     def test_integer_draws(self):
         # Integer draws are summed as floats, whether alpha is an int or not.
         s = Sampler(draw=lambda rng, size: rng.integers(-3, 4, size), moment_hint=math.inf)
         assert gap_mc(s, 2, 1000, seed=1) == gap_mc(s, 2.0, 1000, seed=1)
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng, size: rng.standard_normal(),  # one value, not size of them
+            lambda rng, size: rng.standard_normal(1),
+            lambda rng, size: rng.standard_normal(size - 1),
+            lambda rng, size: rng.standard_normal((1, size)),
+        ],
+        ids=["scalar", "one", "short", "row"],
+    )
+    def test_rejects_draws_not_of_shape_size(self, draw):
+        # numpy would broadcast the first two over the chunk.
+        with pytest.raises(ValueError, match="shape"):
+            gap_mc(Sampler(draw=draw, moment_hint=math.inf), 1.0, 1000, seed=1)
+
+    def test_rejects_complex_draws(self):
+        s = Sampler(draw=lambda rng, size: rng.standard_normal(size) + 0j, moment_hint=math.inf)
+        with pytest.raises(ValueError, match="complex"):
+            gap_mc(s, 1.0, 1000, seed=1)
 
     def test_rejects_workers_below_one(self):
         for workers in (0, -2):
