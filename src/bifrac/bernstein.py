@@ -213,7 +213,8 @@ def series_identity_check(x: float, y: float, t: float, n_terms: int) -> Identit
     All summands share the sign of x*y, so the remainder bound is the first
     omitted summand summed geometrically (infinite when the term ratio is
     still >= 1 at the cutoff).  Raises NonFiniteError for non-finite x or
-    y, and when (x +- y)**2 or 2*t*x*y is not finite.
+    y, and when (x +- y)**2 or 2*t*x*y is not finite; raises ValueError
+    when the walk would start past term 2**53, min(|w|/2, n_terms - 1).
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise NonFiniteError(f"x, y must be finite, got ({x}, {y})")
@@ -243,6 +244,10 @@ def series_identity_check(x: float, y: float, t: float, n_terms: int) -> Identit
     # the way down once the terms below are the smaller ones.  So the walk
     # evaluates about as many terms as are not 0.0: O(sqrt|w|), not O(|w|).
     top = min(int(abs(w) // 2), n_terms - 1)
+    if top >= 2**53:
+        # Past 2**53 the float term index 2n+1 stops changing from one n
+        # to the next, so the walk would never meet a 0.0.
+        raise ValueError(f"the series peak n = {top:.17g} is past 2**53; lower |2txy| or n_terms")
     terms = []
     for n in range(top, -1, -1):
         terms.append(term(n))

@@ -14,6 +14,15 @@ Every numeric field in JSON output is rendered with 17 significant digits
 deterministic function of its full argument list (``BIFRAC_SEED``
 supplies the seed when --seed is absent).
 
+Options are written ``--name value`` or ``--name=value``, and a long name
+may be cut to any prefix that names one option (``--n-terms`` as ``--n``).
+``-d`` and ``-g`` take ``-d value``, ``-dvalue`` or ``-d=value``.  A value
+may be a negative number (``--y -1.8``).  When an option is repeated the
+last one wins.  ``bifrac -h`` lists the subcommands and ``bifrac <cmd> -h``
+lists the options of one.  A usage error prints the usage line and the
+error to stderr and exits 2.  One table, ``_COMMANDS``, declares every
+subcommand and option; it drives both the parser and the help.
+
 Each handler imports the library modules it runs, so a process loads only
 those beside errors and dists: ``gap`` adds inequality, kernel and _rng,
 ``cov`` adds kernel, ``psd-check`` and ``sample`` add gpsim, kernel and
@@ -23,11 +32,11 @@ kernel and _rng, and ``counterexample`` adds counterexample alone.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 # Every other library module is imported by the handlers that run it.
 from .dists import dist_from_json
@@ -194,67 +203,202 @@ def _cmd_series_check(args) -> str:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bifrac", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command line, one entry per subcommand: its help line and its
+# options.  An option is (flags, type, default, help).  The type is float,
+# int or str, a tuple of the strings it accepts, or bool for a flag that
+# stores True; _REQUIRED as the default makes the option mandatory.  The
+# attribute an option sets is its long flag without the dashes, with "-"
+# read as "_".  Every subcommand also takes -h/--help.
+_REQUIRED = object()
+_FORCE = ("--force", bool, False, "allow (H, K) outside the domain")
+_COMMANDS = {
+    "cov": ("evaluate the covariance kernel at (t, s)", (
+        ("--H", float, _REQUIRED, ""),
+        ("--K", float, _REQUIRED, ""),
+        ("--t", float, _REQUIRED, ""),
+        ("--s", float, _REQUIRED, ""),
+        _FORCE,
+    )),
+    "psd-check": ("eigenvalue PSD verdict for a grid covariance matrix", (
+        ("--H", float, _REQUIRED, ""),
+        ("--K", float, _REQUIRED, ""),
+        ("--grid", str, _REQUIRED, "start:step:count"),
+        ("--tol", float, 1e-8, ""),
+        _FORCE,
+    )),
+    "sample": ("sample Gaussian paths to CSV", (
+        ("--H", float, _REQUIRED, ""),
+        ("--K", float, _REQUIRED, ""),
+        ("--grid", str, _REQUIRED, "start:step:count"),
+        ("--m", int, _REQUIRED, ""),
+        ("--seed", int, None, ""),
+        ("--out", str, _REQUIRED, ""),
+    )),
+    "gap": ("moment gap of a discrete law by a chosen route", (
+        ("-d --dist", str, _REQUIRED, "distribution JSON file"),
+        ("--alpha", float, _REQUIRED, ""),
+        ("--route", ("exact", "tail", "variance", "mc"), _REQUIRED, ""),
+        ("--n", int, None, "Monte Carlo sample count"),
+        ("--seed", int, None, ""),
+        ("--workers", int, 1, ""),
+    )),
+    "counterexample": ("find a violating two-point family for alpha > 2", (
+        ("--alpha", float, _REQUIRED, ""),
+    )),
+    "bernstein-gap": ("gap for F(x) = G(x^2) with G a Bernstein function", (
+        ("-d --dist", str, _REQUIRED, ""),
+        ("-g --bernstein", str, _REQUIRED, ""),
+    )),
+    "series-check": ("pointwise product-expansion check", (
+        ("--x", float, _REQUIRED, ""),
+        ("--y", float, _REQUIRED, ""),
+        ("--t", float, _REQUIRED, ""),
+        ("--n-terms", int, _REQUIRED, ""),
+    )),
+}
+_HELP = ("-h --help", bool, None, "show this help message and exit")
 
-    p = sub.add_parser("cov", help="evaluate the covariance kernel at (t, s)")
-    p.add_argument("--H", type=float, required=True)
-    p.add_argument("--K", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--force", action="store_true", help="allow (H, K) outside the domain")
-    p.set_defaults(func=_cmd_cov)
 
-    p = sub.add_parser("psd-check", help="eigenvalue PSD verdict for a grid covariance matrix")
-    p.add_argument("--H", type=float, required=True)
-    p.add_argument("--K", type=float, required=True)
-    p.add_argument("--grid", type=str, required=True, help="start:step:count")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--force", action="store_true", help="allow (H, K) outside the domain")
-    p.set_defaults(func=_cmd_psd_check)
+def _dest(opt) -> str:
+    return [f for f in opt[0].split() if f[:2] == "--"][0][2:].replace("-", "_")
 
-    p = sub.add_parser("sample", help="sample Gaussian paths to CSV")
-    p.add_argument("--H", type=float, required=True)
-    p.add_argument("--K", type=float, required=True)
-    p.add_argument("--grid", type=str, required=True, help="start:step:count")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", type=str, required=True)
-    p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("gap", help="moment gap of a discrete law by a chosen route")
-    p.add_argument("-d", "--dist", type=str, required=True, help="distribution JSON file")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--route", choices=("exact", "tail", "variance", "mc"), required=True)
-    p.add_argument("--n", type=int, default=None, help="Monte Carlo sample count")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=_cmd_gap)
+def _label(opt) -> str:
+    return "/".join(opt[0].split())
 
-    p = sub.add_parser("counterexample", help="find a violating two-point family for alpha > 2")
-    p.add_argument("--alpha", type=float, required=True)
-    p.set_defaults(func=_cmd_counterexample)
 
-    p = sub.add_parser("bernstein-gap", help="gap for F(x) = G(x^2) with G a Bernstein function")
-    p.add_argument("-d", "--dist", type=str, required=True)
-    p.add_argument("-g", "--bernstein", type=str, required=True)
-    p.set_defaults(func=_cmd_bernstein_gap)
+def _metavar(opt) -> str:
+    if opt[1] is bool:
+        return ""
+    return " {%s}" % ",".join(opt[1]) if isinstance(opt[1], tuple) else " " + _dest(opt).upper()
 
-    p = sub.add_parser("series-check", help="pointwise product-expansion check")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--n-terms", type=int, required=True)
-    p.set_defaults(func=_cmd_series_check)
 
-    return parser
+def _usage(command) -> str:
+    if command is None:
+        return "usage: bifrac [-h] {%s} ..." % ",".join(_COMMANDS)
+    words = ["usage: bifrac", command, "[-h]"]
+    for opt in _COMMANDS[command][1]:
+        word = opt[0].split()[0] + _metavar(opt)
+        words.append(word if opt[2] is _REQUIRED else "[" + word + "]")
+    return " ".join(words)
+
+
+def _usage_error(command, message: str):
+    prog = "bifrac" if command is None else "bifrac " + command
+    print("%s\n%s: error: %s" % (_usage(command), prog, message), file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _print_help(command):
+    if command is None:
+        rows = [(name, entry[0]) for name, entry in _COMMANDS.items()]
+        text = __doc__.strip() + "\n\ncommands:"
+    else:
+        options = (_HELP, *_COMMANDS[command][1])
+        rows = [(", ".join(f + _metavar(opt) for f in opt[0].split()), opt[3]) for opt in options]
+        text = _COMMANDS[command][0] + "\n\noptions:"
+    width = max(len(name) for name, _ in rows) + 2
+    rows = [("  " + name.ljust(width) + line).rstrip() for name, line in rows]
+    print(_usage(command), "", text, *rows, sep="\n")
+    raise SystemExit(0)
+
+
+def _is_option(token: str) -> bool:
+    """A token that names an option: it starts with "-", is not "-" alone,
+    and is not a number, so "--y -1.8" reads -1.8 as the value of --y."""
+    if len(token) < 2 or token[0] != "-":
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return True
+    return False
+
+
+def _lookup(name: str, flags: dict):
+    """The option ``name`` selects: its exact flag, or else the one long
+    flag it is a prefix of; None when there is no such flag."""
+    if name in flags:
+        return flags[name]
+    hits = [f for f in flags if f.startswith(name)] if name[:2] == "--" != name else []
+    return flags[hits[0]] if len(hits) == 1 else None
+
+
+def parse_args(argv=None):
+    """Parse a command line (``sys.argv[1:]`` by default) against
+    ``_COMMANDS`` into a namespace holding ``command`` and one attribute
+    per option of that subcommand.
+
+    Options take ``--name value``, ``--name=value``, a unique prefix of a
+    long name, and ``-d value``, ``-dvalue`` or ``-d=value`` for a short
+    one; when one is repeated the last wins.  A usage error prints the
+    usage line and the error to stderr and raises SystemExit(2);
+    -h/--help prints the help to stdout and raises SystemExit(0).
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv:
+        _usage_error(None, "the following arguments are required: command")
+    command = argv[0]
+    if command not in _COMMANDS:
+        if _lookup(command, {"-h": _HELP, "--help": _HELP}):
+            _print_help(None)
+        choices = ", ".join(map(repr, _COMMANDS))
+        _usage_error(None, "argument command: invalid choice: %r (choose from %s)" % (command, choices))
+    options = _COMMANDS[command][1]
+    flags = {f: opt for opt in (_HELP, *options) for f in opt[0].split()}
+    values, unknown = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        opt = None
+        if _is_option(token):
+            if token[:2] == "--":
+                name, eq, value = token.partition("=")
+                value = value if eq else None
+            else:
+                name, value = token[:2], token[2:]
+                value = value[1:] if value[:1] == "=" else value or None
+            opt = _lookup(name, flags)
+        if opt is None:
+            unknown.append(token)
+            continue
+        kind = opt[1]
+        error = "argument " + _label(opt) + ": "
+        if kind is bool:
+            if value is not None:
+                _usage_error(command, error + "ignored explicit argument %r" % value)
+            if opt is _HELP:
+                _print_help(command)
+            values[_dest(opt)] = True
+            continue
+        if value is None:
+            value = next(tokens, None)
+            if value is None or _is_option(value):
+                _usage_error(command, error + "expected one argument")
+        if isinstance(kind, tuple):
+            if value not in kind:
+                choices = ", ".join(map(repr, kind))
+                _usage_error(command, error + "invalid choice: %r (choose from %s)" % (value, choices))
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                _usage_error(command, error + "invalid %s value: %r" % (kind.__name__, value))
+        values[_dest(opt)] = value
+    missing = [_label(opt) for opt in options if opt[2] is _REQUIRED and _dest(opt) not in values]
+    if missing:
+        _usage_error(command, "the following arguments are required: " + ", ".join(missing))
+    if unknown:
+        _usage_error(command, "unrecognized arguments: " + " ".join(unknown))
+    defaults = {_dest(opt): opt[2] for opt in options}
+    return SimpleNamespace(command=command, **{**defaults, **values})
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
+    # Looked up at call time, so a handler patched onto the module runs.
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        out = args.func(args)
+        out = handler(args)
         if out is not None:
             print(out)
         return 0

@@ -396,6 +396,18 @@ class TestSeriesCheckCmd:
     def test_bad_t_exits_2(self):
         assert run_cli("series-check", "--x", "1", "--y", "1", "--t", "0", "--n-terms", "5").returncode == 2
 
+    @pytest.mark.parametrize("x", ["1e8", "1e77"])
+    def test_peak_past_2_53_exits_2(self, x):
+        # The walk would start at n = |xy| > 2**53, where the float term
+        # index no longer changes, and never meet a 0.0.
+        args = ["series-check", "--x", x, "--y", x, "--t", "1", "--n-terms", str(10**200)]
+        r = subprocess.run(
+            [sys.executable, "-m", "bifrac", *args], capture_output=True, text=True, timeout=60
+        )
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: the series peak n = ")
+
     def test_nan_x_exits_2(self, capsys):
         assert main(["series-check", "--x", "nan", "--y", "1", "--t", "1", "--n-terms", "3"]) == 2
         assert capsys.readouterr().out == ""
@@ -460,6 +472,115 @@ class TestImportCost:
         assert {m for m in loaded if m.split(".")[0] == "bifrac"} == expected | {
             f"bifrac.{m}" for m in modules
         }
+        # The command line is parsed without argparse and what it imports.
+        assert not loaded & {"argparse", "gettext", "locale"}
+
+
+# Each argv with the namespace the argparse parser of earlier releases
+# returned for it; the parser must return the same attributes and types.
+PARSED = [
+    ("cov --H 0.5 --K 1 --t 1 --s 2", {"command": "cov", "H": 0.5, "K": 1.0, "t": 1.0, "s": 2.0, "force": False}),
+    ("cov --H=0.5 --K=1 --t=-1 --s=2 --force", {"command": "cov", "H": 0.5, "K": 1.0, "t": -1.0, "s": 2.0, "force": True}),
+    ("cov --force --s 2 --t 1 --K 1 --H 0.5 --H 0.25", {"command": "cov", "H": 0.25, "K": 1.0, "t": 1.0, "s": 2.0, "force": True}),
+    ("psd-check --H 0.5 --K 1 --grid 1:1:5", {"command": "psd-check", "H": 0.5, "K": 1.0, "grid": "1:1:5", "tol": 1e-08, "force": False}),
+    ("psd-check --H 0.5 --K 1 --grid 0:0.5:3 --tol nan --force", {"command": "psd-check", "H": 0.5, "K": 1.0, "grid": "0:0.5:3", "tol": math.nan, "force": True}),
+    ("psd-check --H 0.5 --K 1 --grid 0:0.5:3 --tol 1e-8", {"command": "psd-check", "H": 0.5, "K": 1.0, "grid": "0:0.5:3", "tol": 1e-08, "force": False}),
+    ("psd-check --H 0.5 --K 1 --grid 0:0.5:3 --to=-.5", {"command": "psd-check", "H": 0.5, "K": 1.0, "grid": "0:0.5:3", "tol": -0.5, "force": False}),
+    ("sample --H 0.5 --K 1 --grid 0:1:4 --m 10 --seed 7 --out p.csv", {"command": "sample", "H": 0.5, "K": 1.0, "grid": "0:1:4", "m": 10, "seed": 7, "out": "p.csv"}),
+    ("sample --H 0.5 --K 1 --grid 0:1:4 --m 10 --out p.csv", {"command": "sample", "H": 0.5, "K": 1.0, "grid": "0:1:4", "m": 10, "seed": None, "out": "p.csv"}),
+    ("sample --H 0.5 --K 1 --gr 0:1:4 --m 3 --se -7 --o p.csv", {"command": "sample", "H": 0.5, "K": 1.0, "grid": "0:1:4", "m": 3, "seed": -7, "out": "p.csv"}),
+    ("sample --H 0.5 --K 1 --grid 0:1:4 --m 3 --s 1 --out p.csv", {"command": "sample", "H": 0.5, "K": 1.0, "grid": "0:1:4", "m": 3, "seed": 1, "out": "p.csv"}),
+    ("gap -d d.json --alpha 1 --route exact", {"command": "gap", "dist": "d.json", "alpha": 1.0, "route": "exact", "n": None, "seed": None, "workers": 1}),
+    ("gap --dist d.json --alpha 1.5 --route mc --n 1000000 --seed 1 --workers 4", {"command": "gap", "dist": "d.json", "alpha": 1.5, "route": "mc", "n": 1000000, "seed": 1, "workers": 4}),
+    ("gap --dist=a.json -d b.json --alpha=2 --route=tail --route variance", {"command": "gap", "dist": "b.json", "alpha": 2.0, "route": "variance", "n": None, "seed": None, "workers": 1}),
+    ("gap --di d.json --al 3 --ro mc --n 5 --se 3 --w 2", {"command": "gap", "dist": "d.json", "alpha": 3.0, "route": "mc", "n": 5, "seed": 3, "workers": 2}),
+    ("gap -d d.json --alpha -1 --route exact", {"command": "gap", "dist": "d.json", "alpha": -1.0, "route": "exact", "n": None, "seed": None, "workers": 1}),
+    ("gap -dd.json --alpha 1 --route exact", {"command": "gap", "dist": "d.json", "alpha": 1.0, "route": "exact", "n": None, "seed": None, "workers": 1}),
+    ("gap -d=d.json --alpha 1 --route exact", {"command": "gap", "dist": "d.json", "alpha": 1.0, "route": "exact", "n": None, "seed": None, "workers": 1}),
+    ("gap -d - --alpha 1 --route exact", {"command": "gap", "dist": "-", "alpha": 1.0, "route": "exact", "n": None, "seed": None, "workers": 1}),
+    ("counterexample --alpha 3", {"command": "counterexample", "alpha": 3.0}),
+    ("counterexample --alpha inf", {"command": "counterexample", "alpha": math.inf}),
+    ("bernstein-gap -d d.json -g g.json", {"command": "bernstein-gap", "dist": "d.json", "bernstein": "g.json"}),
+    ("bernstein-gap --bernstein g.json --dist d.json -g h.json", {"command": "bernstein-gap", "dist": "d.json", "bernstein": "h.json"}),
+    ("series-check --x 1 --y -1.82148 --t 0.5 --n-terms 30", {"command": "series-check", "x": 1.0, "y": -1.82148, "t": 0.5, "n_terms": 30}),
+    ("series-check --x nan --y 1e-8 --t 1E3 --n-terms 1000000000", {"command": "series-check", "x": math.nan, "y": 1e-08, "t": 1000.0, "n_terms": 1000000000}),
+    ("series-check --x 1 --y 1 --t 0.5 --n 7", {"command": "series-check", "x": 1.0, "y": 1.0, "t": 0.5, "n_terms": 7}),
+    ("series-check --x 1 --y 1 --t 0.5 --n-terms=007", {"command": "series-check", "x": 1.0, "y": 1.0, "t": 0.5, "n_terms": 7}),
+    ("series-check --x 1 --y 1 --t 0.5 --n-terms -3", {"command": "series-check", "x": 1.0, "y": 1.0, "t": 0.5, "n_terms": -3}),
+]
+
+# Options of each subcommand, as its -h lists them.
+OPTIONS = {
+    "cov": ["--H", "--K", "--t", "--s", "--force"],
+    "psd-check": ["--H", "--K", "--grid", "--tol", "--force"],
+    "sample": ["--H", "--K", "--grid", "--m", "--seed", "--out"],
+    "gap": ["-d", "--dist", "--alpha", "--route", "--n", "--seed", "--workers"],
+    "counterexample": ["--alpha"],
+    "bernstein-gap": ["-d", "--dist", "-g", "--bernstein"],
+    "series-check": ["--x", "--y", "--t", "--n-terms"],
+}
+
+
+class TestParseArgs:
+    @pytest.mark.parametrize("argv,expected", PARSED, ids=[argv for argv, _ in PARSED])
+    def test_accepted(self, argv, expected):
+        # repr tells 1 from 1.0 and matches nan to nan
+        got = vars(cli.parse_args(argv.split()))
+        assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in expected.items()}
+
+    def test_negative_exponent_and_inf_are_values(self):
+        # argparse took only -digits[.digits] as a value, and refused these.
+        got = cli.parse_args("series-check --x -1e-8 --y -inf --t 1 --n-terms 3".split())
+        assert (got.x, got.y) == (-1e-8, -math.inf)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("cov --H 1 --K 1 --t 1", "the following arguments are required: --s"),
+            ("gap --alpha 1 --route exact", "the following arguments are required: -d/--dist"),
+            ("cov --H 1 --K 1 --t 1 --s 1 --bogus", "unrecognized arguments: --bogus"),
+            ("cov --H 1 --K 1 --t 1 --s 1 extra", "unrecognized arguments: extra"),
+            ("cov --H 1 --K 1 --t 1 --s 1 --", "unrecognized arguments: --"),
+            ("cov --H 1 --K 1 --t 1 --s 1 --force=1", "argument --force: ignored explicit argument '1'"),
+            ("cov --H x --K 1 --t 1 --s 1", "argument --H: invalid float value: 'x'"),
+            ("sample --H 0.5 --K 1 --grid 0:1:4 --m 1.5 --out p.csv", "argument --m: invalid int value: '1.5'"),
+            ("gap -d d.json --alpha 1 --route fast", "argument --route: invalid choice: 'fast'"),
+            ("gap -d d.json --alpha 1 --rou ex", "argument --route: invalid choice: 'ex'"),
+            ("gap -d d.json --alpha 1 --route", "argument --route: expected one argument"),
+            ("gap -d -x.json --alpha 1 --route exact", "argument -d/--dist: expected one argument"),
+            ("", "the following arguments are required: command"),
+            ("nope", "argument command: invalid choice: 'nope'"),
+            ("co --H 1", "argument command: invalid choice: 'co'"),
+        ],
+    )
+    def test_rejected(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: bifrac")
+        assert message in err.splitlines()[-1]
+
+    def test_top_level_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: bifrac")
+        assert all(f"  {command} " in out for command in OPTIONS)
+
+    @pytest.mark.parametrize("command", OPTIONS)
+    @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+    def test_command_help(self, capsys, command, flag):
+        # Help wins over the required options that are missing.
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(f"usage: bifrac {command} [-h]") and err == ""
+        listed = set(out.replace(",", " ").split())
+        assert set(OPTIONS[command]) <= listed
 
 
 class TestInProcessMain:
