@@ -123,16 +123,22 @@ def _f_block(g: BernsteinFn, lam: np.ndarray) -> np.ndarray:
 
 def bernstein_gap_exact(d: DiscreteDist, g: BernsteinFn) -> GapReport:
     """E F(|X+Y|) - E F(|X-Y|) >= 0: e_plus by the double sum on numpy pair
-    blocks (:func:`expect_pair`), the gap by :func:`_signed_form` with table
-    T(u, v) = F(u + v) - F(|u - v|) = 4b*u*v - sum_t omega_t * exp(-t(u-v)**2)
-    * expm1(-4tuv) >= 0 (omega_t the weight of atom t), e_minus = e_plus - gap."""
+    blocks (:func:`expect_pair`), the gap by :func:`_signed_form` on row
+    blocks of T(u, v) = F(u + v) - F(|u - v|) = 4b*u*v - sum_t omega_t *
+    exp(-t(u-v)**2) * expm1(-4tuv) >= 0 (omega_t the weight of atom t),
+    e_minus = e_plus - gap."""
     e_plus = expect_pair(d, lambda u, v: _f_block(g, np.abs(u + v)))
     keys, w = _signed_weights(d)
-    with np.errstate(over="ignore"):  # inf in uv, d2 gives exp 0, expm1 -1
-        uv, d2 = np.multiply.outer(keys, keys), np.subtract.outer(keys, keys) ** 2
-        table = 4.0 * (g.b * uv) if g.b else np.zeros_like(uv)
-        for t, omega in g.mu:
-            table -= omega * np.exp(-t * d2) * np.expm1(-4.0 * (t * uv))
+
+    def table(lo, hi):
+        u, v = keys[lo:hi, None], keys[lo:]
+        with np.errstate(over="ignore"):  # inf in uv, d2 gives exp 0, expm1 -1
+            uv, d2 = u * v, (u - v) ** 2
+            t_uv = 4.0 * (g.b * uv) if g.b else np.zeros_like(uv)
+            for t, omega in g.mu:
+                t_uv -= omega * np.exp(-t * d2) * np.expm1(-4.0 * (t * uv))
+        return t_uv
+
     gap = _signed_form(w, table, "Bernstein gap")
     return GapReport(alpha=None, e_plus=e_plus, e_minus=e_plus - gap, route="exact")
 

@@ -3,17 +3,11 @@
 DiscreteDist is the exact-computation workhorse: expectations are weighted
 sums taken with ``math.fsum``, which is correctly rounded and independent of
 summation order, so every result is reproducible to the bit.  expect_pair,
-the pair primitive of the exact gap routes, sums pair blocks by _exact_sum.
+the pair primitive of the exact gap routes, sums pair tables by _pair_blocks.
 
 DiscreteDist.sampler draws through a guide table (Chen & Asau 1974;
-Devroye 1986, section III.2.4) built once per sampler: one table of atom
-values over G buckets of [0, 1), NaN in the buckets that hold a CDF
-breakpoint.  G is a power of two, so scaling the uniforms and the CDF by G is
-exact.  On the 64-bit generators (Philox, PCG64, SFC64) it takes the bucket
-from the top bits of the raw words a uniform is made of; a draw in a NaN
-bucket is resolved against the one breakpoint inside it, or, where the
-bucket holds several, by a search of the whole CDF.  It reads the same
-uniforms and returns the same stream as ``Generator.choice(xs, size, p=ps)``.
+Devroye 1986, section III.2.4), described in its docstring, and returns the
+same stream as ``Generator.choice(xs, size, p=ps)``.
 """
 
 from __future__ import annotations
@@ -40,9 +34,9 @@ __all__ = [
 
 _SUM_TOL = 1e-12
 
-# Pairs per block of the x_i by x_j table in expect_pair (at least one row),
-# so its memory does not grow with k**2; values per chunk in _exact_sum.
-PAIR_BLOCK = 1 << 15
+# Values per block of a pair table in _pair_blocks and per chunk in _exact_sum:
+# 64 KB temporaries, below glibc's mmap threshold, are reused, not faulted in.
+PAIR_BLOCK = 1 << 13
 
 # Largest bucket count of the guide table in DiscreteDist.sampler (8 MB of
 # float64 values and 8 MB of bucket starts), so its memory stops growing
@@ -234,31 +228,40 @@ def expect(d: DiscreteDist, f: Callable[[float], float]) -> float:
 
 def expect_pair(d: DiscreteDist, g: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
     """E g(X, Y) for independent copies X, Y: the math.fsum of
-    p_i * p_j * g(x_i, x_j) over all atom pairs, by :func:`_exact_sum`.
+    p_i * p_j * g(x_i, x_j) over all atom pairs, by :func:`_pair_blocks`.
 
-    ``g`` gets numpy row blocks of the x_i by x_j table, ``u`` of shape
-    (r, 1) and ``v`` of shape (1, k) with r*k about PAIR_BLOCK, and returns
-    values that broadcast to (r, k).  Raises NonFiniteError at the first
-    pair where g is NaN or infinite.
+    ``g`` gets numpy blocks of the x_i by x_j table, ``u`` of shape (r, 1)
+    and ``v`` of shape (1, c), and returns values that broadcast to (r, c);
+    g(u, v) must equal g(v, u) bit for bit.  Raises NonFiniteError at the
+    first pair where g is NaN or infinite.
     """
-    xs = np.array(d.values())
-    ps = np.array(d.probs())
-    k = len(xs)
-    rows = max(1, PAIR_BLOCK // k)
+    xs, ps = np.array(d.values()), np.array(d.probs())
 
-    def blocks():
-        for lo in range(0, k, rows):
-            hi = lo + rows
-            # Since 0 <= p_i * p_j <= 1, a term is finite exactly when g is.
-            with np.errstate(all="ignore"):
-                terms = ps[lo:hi, None] * ps[None, :] * g(xs[lo:hi, None], xs[None, :])
-            bad = ~np.isfinite(terms)
-            if bad.any():
-                i, j = np.argwhere(bad)[0]
-                raise NonFiniteError(f"g({xs[lo + i]}, {xs[j]}) is not finite")
-            yield terms.ravel()
+    def block(lo, hi):
+        # Since 0 <= p_i * p_j <= 1, a term is finite exactly when g is.
+        with np.errstate(all="ignore"):
+            return ps[lo:hi, None] * ps[None, lo:] * g(xs[lo:hi, None], xs[None, lo:])
 
-    return _exact_sum(blocks())
+    pairs = _pair_blocks(len(xs), block, lambda i, j: f"g({xs[i]}, {xs[j]}) is not finite")
+    return _exact_sum(pairs)
+
+
+def _pair_blocks(k: int, block: Callable[[int, int], np.ndarray], bad: Callable[..., str]):
+    """Blocks whose :func:`_exact_sum` is the math.fsum of the symmetric k by k
+    table t, bit for bit, from its upper triangle: ``block(lo, hi)`` returns
+    rows lo:hi, columns lo: (about PAIR_BLOCK values) as a new array, which
+    this overwrites.  Raises NonFiniteError(bad(i, j)) at the first non-finite
+    t_ij in row-major order.  t_ji is t_ij, and 2*t_ij is exact and finite
+    (callers weigh t_ij, i != j, by at most 1/4): t_ii and 2*t_ij, j > i, add to t's total."""
+    hi = 0
+    while hi < k:
+        lo, hi = hi, min(k, hi + max(1, PAIR_BLOCK // (k - hi)))
+        t = block(lo, hi)
+        if (at := np.argwhere(~np.isfinite(t))).size:
+            raise NonFiniteError(bad(*(lo + at[0])))
+        t[:, : hi - lo] *= 2.0 - np.tri(hi - lo) - np.tri(hi - lo, k=-1)  # 0 for j < i, 1 for j = i
+        t[:, hi - lo :] *= 2.0
+        yield t.ravel()
 
 
 def _exact_sum(blocks: Iterable[np.ndarray]) -> float:
@@ -304,18 +307,15 @@ def dist_from_json(obj) -> DiscreteDist:
     raw = obj["atoms"]
     if not isinstance(raw, list) or not raw:
         raise ValueError('"atoms" must be a nonempty list')
-    pairs = []
-    seen = set()
+    pairs: dict[float, float] = {}
     for entry in raw:
         if not isinstance(entry, dict) or "x" not in entry or "p" not in entry:
             raise ValueError('each atom must be an object with "x" and "p"')
-        x = _json_number(entry, "x")
-        p = _json_number(entry, "p")
-        if x in seen:
+        x, p = _json_number(entry, "x"), _json_number(entry, "p")
+        if x in pairs:
             raise ValueError(f"duplicate atom value {x!r}")
-        seen.add(x)
-        pairs.append((x, p))
-    return DiscreteDist(pairs)
+        pairs[x] = p
+    return DiscreteDist(list(pairs.items()))
 
 
 def _json_number(obj: dict, key: str) -> float:

@@ -14,8 +14,9 @@ independent routes.
 The tail and variance routes read the law only through w
 (dists._signed_weights), so mirrored atoms cancel before any sum.  Every
 E|X+-Y|**alpha goes through expect_pair and the variance form through
-_signed_form, which sum their pair tables by dists._exact_sum: one correctly
-rounded math.fsum.  Suffix sums of w are exact integer sums rounded once.
+_signed_form, which sum the upper triangles of their pair tables by
+dists._pair_blocks: one correctly rounded math.fsum.  Suffix sums of w are
+exact integer sums rounded once.
 
 For alpha in (0, 2] the gap is nonnegative; the exact and variance routes
 assert this up to a floating tolerance and raise InequalityViolationError
@@ -33,14 +34,14 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rng import substream
-from .dists import DiscreteDist, Sampler, _exact_sum, _signed_weights, expect_pair
+from .dists import DiscreteDist, Sampler, _exact_sum, _pair_blocks, _signed_weights, expect_pair
 from .errors import (
     InequalityViolationError,
     InsufficientSamplesError,
     NonFiniteError,
     OutOfDomainError,
 )
-from .kernel import BifParams, cov_matrix
+from .kernel import BifParams, _cov_rows
 
 __all__ = [
     "GapReport",
@@ -106,13 +107,24 @@ def _check_nonneg(value: float, scale: float, what: str) -> None:
         )
 
 
-def _signed_form(w: np.ndarray, table: np.ndarray, what: str) -> float:
-    """w^T table w, checked >= 0.  ``table`` is scaled in place to the terms
-    w_i*table[i, j]*w_j, summed by :func:`_exact_sum` (one math.fsum); the
-    tolerance scale is the numpy sum of their absolute values (no cancellation)."""
-    table *= np.outer(w, w)
-    value = _exact_sum([table.ravel()])
-    _check_nonneg(value, float(np.abs(table, out=table).sum()), what)
+def _signed_form(w: np.ndarray, block, what: str) -> float:
+    """w^T R w, checked >= 0, for the symmetric R of which ``block(lo, hi)``
+    returns rows lo:hi, columns lo:.  The terms R_ij*(w_i*w_j) are summed by
+    :func:`_pair_blocks` (one math.fsum); the tolerance scale is the numpy sum of
+    their absolute values (no cancellation).  A block covers its own square
+    of the table, and its columns right of that stand for their mirror too."""
+    scale = 0.0
+
+    def terms(lo, hi):
+        nonlocal scale
+        t = block(lo, hi) * (w[lo:hi, None] * w[lo:])
+        a = np.abs(t)
+        scale += float(a.sum() + a[:, hi - lo :].sum())
+        return t
+
+    pairs = _pair_blocks(len(w), terms, lambda i, j: f"{what} term ({i}, {j}) is not finite")
+    value = _exact_sum(pairs)
+    _check_nonneg(value, scale, what)
     return value
 
 
@@ -198,7 +210,7 @@ def gap_via_variance(d: DiscreteDist, alpha: float) -> GapReport:
         raise OutOfDomainError("0 < alpha <= 2")
     law, back = _in_range(d, alpha)
     keys, w = _signed_weights(law)
-    var = _signed_form(w, cov_matrix(BifParams(0.5, alpha), keys), "Var of kernel functional")
+    var = _signed_form(w, _cov_rows(BifParams(0.5, alpha), keys), "Var of kernel functional")
     gap = back(2.0**alpha * var)
     e_plus = back(expect_pair(law, lambda u, v: np.abs(u + v) ** alpha))
     return GapReport(alpha=alpha, e_plus=e_plus, e_minus=e_plus - gap, route="variance")

@@ -34,6 +34,11 @@ __all__ = [
     "signed_identity_lhs",
 ]
 
+# Values per row block of cov_matrix, so each block's temporaries (64 KB)
+# stay below glibc's mmap threshold and are reused, not faulted in anew.
+# dists.PAIR_BLOCK's value, kept apart because `sample` does not load dists.
+COV_BLOCK = 1 << 13
+
 
 @dataclass(frozen=True)
 class BifParams:
@@ -156,35 +161,51 @@ def cov(p: BifParams, t: float, s: float) -> float:
 def cov_matrix(p: BifParams, times) -> np.ndarray:
     """The matrix [cov(p, t_i, t_j)], equal to the scalar kernel bit for bit.
 
-    Each t_i**(2H) is computed once; row i is computed from the diagonal
-    rightwards and mirrored into its column.  Entries keep the operation
-    order of :func:`cov` (t + s and |t - s| are exact under argument swap)
-    and its exact zeros at t = 0.  Powers go through ``np.float_power``,
-    which calls libm ``pow`` as ``**`` on Python floats does; ``np.power``
-    may run a vectorized pow that differs in the last bit, which would
-    break the equality.  Raises NonFiniteError if an entry leaves floating
-    range.
+    Built in row blocks of :func:`_cov_rows`, each written into its rows from
+    the diagonal rightwards and mirrored into its columns.  Raises
+    NonFiniteError if an entry leaves floating range.
     """
     ts = [float(t) for t in times]
     _check_times(ts)
     ts = np.array(ts, dtype=np.float64)
-    K = p.K
-    two_h = 2.0 * p.H
-    two_hk = two_h * K
-    c = 2.0 ** (-K)
     n = len(ts)
-    entries = np.zeros((n, n), dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pw = np.float_power(ts, two_h)
-        for i in np.flatnonzero(ts):
-            entries[i, i:] = entries[i:, i] = c * (
-                np.float_power(pw[i] + pw[i:], K) - np.float_power(np.abs(ts[i:] - ts[i]), two_hk)
-            )
-    zero = ts == 0.0
-    entries[zero] = entries[:, zero] = 0.0
+    rows, step = _cov_rows(p, ts), max(1, COV_BLOCK // max(n, 1))
+    entries = np.empty((n, n), dtype=np.float64)
+    for lo in range(0, n, step):
+        entries[lo : lo + step, lo:] = block = rows(lo, lo + step)
+        entries[lo:, lo : lo + step] = block.T
     if not np.isfinite(entries).all():
-        raise NonFiniteError(f"cov overflowed on the grid for (H, K) = ({p.H}, {K})")
+        raise NonFiniteError(f"cov overflowed on the grid for (H, K) = ({p.H}, {p.K})")
     return entries
+
+
+def _cov_rows(p: BifParams, ts: np.ndarray):
+    """The evaluator ``rows(lo, hi)`` of rows lo:hi, columns lo: of the kernel
+    matrix on the float64 times ``ts`` (checked by the caller), a new array.
+
+    Each t_i**(2H) is computed once.  Entries keep the operation order of
+    :func:`cov` (t + s and |t - s| are exact under argument swap, so the
+    matrix is symmetric bit for bit) and its exact zeros at t = 0.  Powers
+    go through ``np.float_power``, which calls libm ``pow`` as ``**`` on
+    Python floats does; ``np.power`` may run a vectorized pow that differs
+    in the last bit, which would break the equality.  Overflow gives inf,
+    not an error.
+    """
+    K = p.K
+    two_hk = 2.0 * p.H * K
+    c = 2.0 ** (-K)
+    with np.errstate(over="ignore"):
+        pw = np.float_power(ts, 2.0 * p.H)
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = np.float_power(pw[lo:hi, None] + pw[lo:], K)
+            block -= np.float_power(np.abs(ts[lo:] - ts[lo:hi, None]), two_hk)
+            block *= c
+        block[ts[lo:hi] == 0.0] = block[:, ts[lo:] == 0.0] = 0.0
+        return block
+
+    return rows
 
 
 def _check_times(ts) -> None:

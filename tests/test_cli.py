@@ -21,7 +21,7 @@ from bifrac import (
     dist_to_json,
 )
 import bifrac.inequality
-from bifrac import cli, cov_matrix
+from bifrac import cli
 from bifrac.cli import main, render_json
 
 from _support import strict_json
@@ -278,7 +278,8 @@ class TestGap:
         assert r.returncode == 2
 
     def test_negative_variance_exits_3(self, monkeypatch, capsys, dist_file):
-        monkeypatch.setattr(bifrac.inequality, "cov_matrix", lambda p, ts: -cov_matrix(p, ts))
+        rows = bifrac.inequality._cov_rows
+        monkeypatch.setattr(bifrac.inequality, "_cov_rows", lambda p, ts: lambda lo, hi: -rows(p, ts)(lo, hi))
         assert main(["gap", "-d", dist_file, "--alpha", "1", "--route", "variance"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

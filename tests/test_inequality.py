@@ -2,12 +2,14 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import bifrac.inequality
 from bifrac import (
+    BernsteinFn,
     BifParams,
     DiscreteDist,
     InequalityViolationError,
@@ -15,8 +17,8 @@ from bifrac import (
     NonFiniteError,
     OutOfDomainError,
     Sampler,
+    bernstein_gap_exact,
     cov,
-    cov_matrix,
     expect,
     expect_pair,
     gap_exact,
@@ -115,6 +117,34 @@ for name, s in samplers.items():
     for chunks in (4, 32):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         gap_mc(s, 1.3, chunks * MC_CHUNK, seed=1, workers=workers)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    extra[name] = faults[1] - faults[0]
+print(json.dumps(extra))
+"""
+
+
+# Minor page faults of each pair route on a 700-atom law minus those on a
+# 20-atom law, after a first call on the small law for the lazy imports.
+_PAIR_FAULT_CHECK = """
+import json, resource
+import numpy as np
+from bifrac import BernsteinFn, DiscreteDist, bernstein_gap_exact, gap_exact, gap_tail_integral, gap_via_variance
+rng = np.random.default_rng(51)
+small, large = (DiscreteDist([(x, 1 / k) for x in rng.uniform(-5.0, 5.0, k).tolist()]) for k in (20, 700))
+g = BernsteinFn(0.5, 1.0, ((0.3, 1.0), (2.0, 0.5)))
+routes = {
+    "exact": lambda d: gap_exact(d, 1.3),
+    "variance": lambda d: gap_via_variance(d, 1.3),
+    "tail": gap_tail_integral,
+    "bernstein": lambda d: bernstein_gap_exact(d, g),
+}
+extra = {}
+for name, route in routes.items():
+    route(small)
+    faults = []
+    for d in (small, large):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        route(d)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     extra[name] = faults[1] - faults[0]
 print(json.dumps(extra))
@@ -322,10 +352,11 @@ class TestNonnegativityChecks:
         # w^T T w = -2 for w = (1, -1) and T = [[0, 1], [1, 0]]
         table = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(InequalityViolationError):
-            bifrac.inequality._signed_form(np.array([1.0, -1.0]), table, "form")
+            bifrac.inequality._signed_form(np.array([1.0, -1.0]), lambda lo, hi: table[lo:hi, lo:], "form")
 
     def test_variance_route_raises_on_negated_kernel(self, monkeypatch):
-        monkeypatch.setattr(bifrac.inequality, "cov_matrix", lambda p, ts: -cov_matrix(p, ts))
+        rows = bifrac.inequality._cov_rows
+        monkeypatch.setattr(bifrac.inequality, "_cov_rows", lambda p, ts: lambda lo, hi: -rows(p, ts)(lo, hi))
         with pytest.raises(InequalityViolationError):
             gap_via_variance(D01, 1.0)
 
@@ -364,6 +395,43 @@ class TestOverflowBeforeWeighting:
         # E|X+Y|**2 is about 9.5e320, outside double range
         with pytest.raises(NonFiniteError):
             route(DiscreteDist([(1e160, 0.5), (2e160, 0.5)]), 2.0)
+
+
+class TestPairRoutesBoundedMemory:
+    # The pair routes walk their k by k tables in blocks of about PAIR_BLOCK
+    # values, so their memory is O(PAIR_BLOCK + k), not O(k**2).
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+    def test_large_law_faults_in_no_table(self):
+        # Block temporaries stay below glibc's mmap threshold, so a 700-atom
+        # law reuses the heap a 20-atom law left; a k by k table of it would
+        # fault in about 960 pages (3.9 MB).  A fresh interpreter counts them.
+        r = subprocess.run([sys.executable, "-c", _PAIR_FAULT_CHECK], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        extra = json.loads(r.stdout)
+        assert all(v < 400 for v in extra.values()), extra
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda d: gap_via_variance(d, 1.3),
+            lambda d: bernstein_gap_exact(d, BernsteinFn(0.5, 1.0, ((0.3, 1.0), (2.0, 0.5)))),
+        ],
+        ids=["variance", "bernstein"],
+    )
+    def test_peak_memory_does_not_grow_with_pairs(self, route):
+        rng = np.random.default_rng(52)
+        route(D01)  # first-call allocations
+        peaks = []
+        for k in (700, 1400):
+            d = DiscreteDist([(x, 1 / k) for x in rng.uniform(-5.0, 5.0, k).tolist()])
+            tracemalloc.start()
+            try:
+                route(d)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestGapMc:

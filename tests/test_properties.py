@@ -11,6 +11,7 @@ import itertools
 import math
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,8 +30,11 @@ from bifrac import (
     gap_tail_integral,
     gap_via_variance,
 )
-from bifrac.dists import PAIR_BLOCK, _exact_sum, _signed_weights
-from bifrac.inequality import _in_range
+from bifrac import dists
+from bifrac.dists import PAIR_BLOCK, _exact_sum, _signed_weights, expect_pair
+from bifrac.errors import NonFiniteError
+from bifrac.inequality import _in_range, _signed_form
+from bifrac.kernel import _cov_rows
 
 REL_TOL = 1e-12
 
@@ -245,3 +249,92 @@ def test_exact_sum_splits_long_blocks(big):
     x = rng.standard_normal(3 * PAIR_BLOCK + 7) * 10.0 ** rng.integers(-300, 300, 3 * PAIR_BLOCK + 7)
     blocks = [np.concatenate([x, big, -x[::-1] * (1.0 + 1e-15)])]
     assert _fsum_outcome(_exact_sum, blocks) == _fsum_outcome(_reference_fsum, blocks)
+
+
+# Pair functions g(u, v) equal to g(v, u) bit for bit, as expect_pair needs.
+_SYMMETRIC_GS = {
+    "abs_sum": lambda a: lambda u, v: np.abs(u + v) ** a,
+    "abs_diff": lambda a: lambda u, v: np.abs(u - v) ** a,
+    "product": lambda a: lambda u, v: u * v,
+    "scalar": lambda a: lambda u, v: 1.0,
+}
+
+
+def _table_outcome(d, g):
+    """The math.fsum of the whole k by k table in row-major order, as
+    _fsum_outcome gives it, or the message naming its first non-finite pair."""
+    xs, ps = np.array(d.values()), np.array(d.probs())
+    with np.errstate(all="ignore"):
+        table = ps[:, None] * ps[None, :] * g(xs[:, None], xs[None, :])
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        i, j = bad[0]
+        return f"g({xs[i]}, {xs[j]}) is not finite"
+    return _fsum_outcome(_reference_fsum, [table.ravel()])
+
+
+def _walk_outcome(d, g, block):
+    """expect_pair's outcome with ``block`` values per pair block."""
+    with mock.patch.object(dists, "PAIR_BLOCK", block):
+        try:
+            return _fsum_outcome(lambda _: expect_pair(d, g), None)
+        except NonFiniteError as exc:
+            return str(exc)
+
+
+@_settings(200)
+@given(
+    hard_laws(max_atoms=40),
+    st.sampled_from(sorted(_SYMMETRIC_GS)),
+    alphas,
+    st.sampled_from((1, 5, 7, 64, PAIR_BLOCK)),
+)
+def test_pair_walk_is_full_table_fsum(d, g_name, alpha, block):
+    # Blocks of 1 to 64 values cut even small laws into several row blocks
+    # whose row counts do not divide k.
+    g = _SYMMETRIC_GS[g_name](alpha)
+    assert _walk_outcome(d, g, block) == _table_outcome(d, g)
+
+
+_BIG = DiscreteDist([(1.3e154, 0.3), (-1.1e154, 0.25), (0.9e154, 0.25), (-1.25e154, 0.2)])
+_ZERO = DiscreteDist([(-2.0, 0.2), (-1.0, 0.3), (0.0, 0.1), (1.0, 0.15), (3.0, 0.25)])
+
+
+def _uniform(k):
+    return DiscreteDist([(float(x), 1 / k) for x in range(k)])
+
+
+@pytest.mark.parametrize(
+    "d, g",
+    [
+        # Terms of 2**960 and more go to fsum as they are, where overflow
+        # depends on the order.
+        (_BIG, lambda u, v: u * v),
+        (_BIG, lambda u, v: np.where(u == v, DBL_MAX, -DBL_MAX)),
+        # DBL_MAX times the p_i*p_j, whose rounded sum exceeds 1 for some k:
+        # those overflow in either order.
+        *((_uniform(k), lambda u, v: DBL_MAX) for k in (3, 5, 7, 10, 23)),
+        # inf and NaN: the first non-finite pair of the row-major table.
+        (_ZERO, lambda u, v: 1.0 / (u * v)),
+        (_ZERO, lambda u, v: -1.0 / (u + v - 2.0)),
+        (_ZERO, lambda u, v: np.sqrt(u * v)),
+        # One atom, and a scalar g.
+        (DiscreteDist([(2.5, 1.0)]), lambda u, v: np.abs(u + v) ** 0.7),
+        (_ZERO, lambda u, v: 1.0),
+    ],
+)
+@pytest.mark.parametrize("block", [1, 7, PAIR_BLOCK])
+def test_pair_walk_edge_cases(d, g, block):
+    assert _walk_outcome(d, g, block) == _table_outcome(d, g)
+
+
+@_settings(60)
+@given(hard_laws(max_atoms=40), alphas, st.sampled_from((1, 7, PAIR_BLOCK)))
+def test_signed_form_walk_is_full_table_fsum(d, alpha, block):
+    # The variance route's form is the fsum of the full w_i*R_ij*w_j table.
+    law, _ = _in_range(d, alpha)
+    keys, w = _signed_weights(law)
+    p = BifParams(0.5, alpha)
+    table = cov_matrix(p, keys) * np.outer(w, w)
+    with mock.patch.object(dists, "PAIR_BLOCK", block):
+        assert _signed_form(w, _cov_rows(p, keys), "form") == math.fsum(table.ravel().tolist())
