@@ -45,6 +45,7 @@ from .errors import (
     DegenerateFamilyError,
     InequalityViolationError,
     InsufficientSamplesError,
+    InvalidInputError,
     NegativeArgumentError,
     NegativeTimeError,
     NonFiniteError,

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dists import DiscreteDist, _json_number, _signed_weights, expect_pair
-from .errors import NegativeArgumentError, NonFiniteError
+from .errors import InvalidInputError, NegativeArgumentError, NonFiniteError, _count, _finite
 from .inequality import GapReport, _signed_form
 
 __all__ = [
@@ -61,22 +61,16 @@ class BernsteinFn:
     mu: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        a = float(self.a)
-        b = float(self.b)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise NonFiniteError(f"a, b must be finite, got ({a}, {b})")
+        a, b = _finite("a", self.a), _finite("b", self.b)
         if a < 0 or b < 0:
-            raise ValueError(f"a, b must be >= 0, got ({a}, {b})")
+            raise InvalidInputError(f"a, b must be >= 0, got ({a}, {b})")
         atoms = []
         for t, w in self.mu:
-            t = float(t)
-            w = float(w)
-            if not (math.isfinite(t) and math.isfinite(w)):
-                raise NonFiniteError(f"measure atom ({t}, {w}) is not finite")
+            t, w = _finite("measure atom location", t), _finite("measure atom weight", w)
             if t <= 0:
-                raise ValueError(f"measure atom location must be > 0, got {t}")
+                raise InvalidInputError(f"measure atom location must be > 0, got {t}")
             if w <= 0:
-                raise ValueError(f"measure atom weight must be > 0, got {w}")
+                raise InvalidInputError(f"measure atom weight must be > 0, got {w}")
             atoms.append((t, w))
         atoms.sort()
         object.__setattr__(self, "a", a)
@@ -101,7 +95,10 @@ def eval_g(g: BernsteinFn, lam: float) -> float:
     if not lam >= 0:
         raise NegativeArgumentError(f"lam must be >= 0, got {lam}")
     linear = [g.b * lam] if g.b else []  # 0 * inf is NaN
-    return math.fsum([g.a] + linear + [w * (1.0 - math.exp(-t * lam)) for t, w in g.mu])
+    try:
+        return math.fsum([g.a] + linear + [w * (1.0 - math.exp(-t * lam)) for t, w in g.mu])
+    except OverflowError:  # the sum, not a term, left double range
+        raise NonFiniteError(f"G({lam!r}) leaves double range") from None
 
 
 def eval_f(g: BernsteinFn, lam: float) -> float:
@@ -168,9 +165,9 @@ def elementary_gap_series(
         leave floating range even after rescaling.
     """
     if not t > 0:
-        raise ValueError(f"t must be > 0, got {t}")
-    if n_terms is not None and n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+        raise InvalidInputError(f"t must be > 0, got {t}")
+    if n_terms is not None:
+        n_terms = _count("n_terms", n_terms, 1)
     keys, w = _signed_weights(d)
     x_max = float(keys[-1])
     if x_max == 0.0:
@@ -219,15 +216,14 @@ def series_identity_check(x: float, y: float, t: float, n_terms: int) -> Identit
     All summands share the sign of x*y, so the remainder bound is the first
     omitted summand summed geometrically (infinite when the term ratio is
     still >= 1 at the cutoff).  Raises NonFiniteError for non-finite x or
-    y, and when (x +- y)**2 or 2*t*x*y is not finite; raises ValueError
-    when the walk would start past term 2**53, min(|w|/2, n_terms - 1).
+    y, and when (x +- y)**2 or 2*t*x*y is not finite; raises
+    InvalidInputError when the walk would start past term 2**53,
+    min(|w|/2, n_terms - 1).
     """
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise NonFiniteError(f"x, y must be finite, got ({x}, {y})")
+    x, y = _finite("x", x), _finite("y", y)
     if not t > 0:
-        raise ValueError(f"t must be > 0, got {t}")
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+        raise InvalidInputError(f"t must be > 0, got {t}")
+    n_terms = _count("n_terms", n_terms, 1)
     try:
         lhs = math.exp(-t * (x - y) ** 2) - math.exp(-t * (x + y) ** 2)
     except OverflowError:
@@ -253,7 +249,7 @@ def series_identity_check(x: float, y: float, t: float, n_terms: int) -> Identit
     if top >= 2**53:
         # Past 2**53 the float term index 2n+1 stops changing from one n
         # to the next, so the walk would never meet a 0.0.
-        raise ValueError(f"the series peak n = {top:.17g} is past 2**53; lower |2txy| or n_terms")
+        raise InvalidInputError(f"the series peak n = {top:.17g} is past 2**53; lower |2txy| or n_terms")
     terms = []
     for n in range(top, -1, -1):
         terms.append(term(n))
@@ -273,14 +269,14 @@ def series_identity_check(x: float, y: float, t: float, n_terms: int) -> Identit
 def bernstein_from_json(obj) -> BernsteinFn:
     """Parse ``{"a":..,"b":..,"mu":[{"t":..,"w":..},...]}``."""
     if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
-        raise ValueError('Bernstein JSON must be an object with "a", "b" and optional "mu"')
+        raise InvalidInputError('Bernstein JSON must be an object with "a", "b" and optional "mu"')
     raw = obj.get("mu", [])
     if not isinstance(raw, list):
-        raise ValueError('"mu" must be a list')
+        raise InvalidInputError('"mu" must be a list')
     mu = []
     for entry in raw:
         if not isinstance(entry, dict) or "t" not in entry or "w" not in entry:
-            raise ValueError('each measure atom must be an object with "t" and "w"')
+            raise InvalidInputError('each measure atom must be an object with "t" and "w"')
         mu.append((_json_number(entry, "t"), _json_number(entry, "w")))
     return BernsteinFn(a=_json_number(obj, "a"), b=_json_number(obj, "b"), mu=tuple(mu))
 

@@ -4,10 +4,13 @@ Subcommands: cov, psd-check, sample, gap, counterexample, bernstein-gap,
 series-check.  Exit codes are a stable contract for harnesses:
 
     0  success
-    2  input or domain error
+    2  input or domain error (any other BifracError, an OSError, or a
+       MemoryError: an input too large for this machine)
     3  an inequality nonnegativity assertion fired
     4  numerical factorization failure
     5  violation search exhausted
+
+Any other exception is a defect and propagates with its traceback.
 
 Every numeric field in JSON output is rendered with 17 significant digits
 (null where the value is infinite or NaN), and every seeded command is a
@@ -43,6 +46,7 @@ from .dists import dist_from_json
 from .errors import (
     BifracError,
     InequalityViolationError,
+    InvalidInputError,
     NotPSDError,
     NumericalFailureError,
     OutOfDomainError,
@@ -57,10 +61,8 @@ _EXIT_CODES = {
     NumericalFailureError: 4,
     SearchExhaustedError: 5,
     BifracError: 2,
-    ValueError: 2,
-    TypeError: 2,
-    OverflowError: 2,
     OSError: 2,
+    MemoryError: 2,
 }
 
 
@@ -91,24 +93,34 @@ def render_json(obj) -> str:
 def _parse_grid(spec: str) -> TimeGrid:
     from .kernel import TimeGrid
 
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid spec must be start:step:count, got {spec!r}")
-    return TimeGrid.regular(float(parts[0]), float(parts[1]), int(parts[2]))
+    try:
+        start, step, count = spec.split(":")
+        start, step, count = float(start), float(step), int(count)
+    except ValueError:
+        raise InvalidInputError(f"grid spec must be start:step:count, got {spec!r}") from None
+    return TimeGrid.regular(start, step, count)
 
 
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
     env = os.environ.get("BIFRAC_SEED")
-    if env is not None:
+    if env is None:
+        raise InvalidInputError("a seed is required: pass --seed or set BIFRAC_SEED")
+    try:
         return int(env)
-    raise ValueError("a seed is required: pass --seed or set BIFRAC_SEED")
+    except ValueError:
+        raise InvalidInputError(f"BIFRAC_SEED must be an integer, got {env!r}") from None
 
 
 def _load_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            # ValueError: a JSONDecodeError, a UnicodeDecodeError or an int
+            # past the interpreter's digit limit; RecursionError: deep nesting.
+            raise InvalidInputError(f"malformed JSON: {exc}") from None
 
 
 def _params(H: float, K: float, force: bool) -> BifParams:
@@ -156,13 +168,13 @@ def _cmd_gap(args) -> str:
         report = gap_exact(d, args.alpha)
     elif args.route == "tail":
         if args.alpha != 1:
-            raise ValueError("route=tail requires --alpha 1")
+            raise InvalidInputError("route=tail requires --alpha 1")
         report = gap_tail_integral(d)
     elif args.route == "variance":
         report = gap_via_variance(d, args.alpha)
     else:
         if args.n is None:
-            raise ValueError("route=mc requires --n")
+            raise InvalidInputError("route=mc requires --n")
         report = _gap_mc_law(d, args.alpha, args.n, _resolve_seed(args.seed), workers=args.workers)
     return render_json(report.as_json_dict())
 
@@ -403,8 +415,7 @@ def main(argv=None) -> int:
             print(out)
         return 0
     except tuple(_EXIT_CODES) as exc:
-        prefix = "malformed JSON: " if isinstance(exc, json.JSONDecodeError) else ""
-        print(f"error: {prefix}{exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 

@@ -26,6 +26,7 @@ from .errors import (
     NonFiniteError,
     OutOfDomainError,
     SearchExhaustedError,
+    _finite,
 )
 
 __all__ = [
@@ -51,8 +52,8 @@ class CounterFamily:
     M: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.c) and math.isfinite(self.M)):
-            raise NonFiniteError(f"alpha, c, M must be finite, got {self}")
+        for name in ("alpha", "c", "M"):
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
         if not self.alpha > 2:
             raise OutOfDomainError("alpha > 2")
         if not self.c > 0:
@@ -96,22 +97,25 @@ def closed_form_violation(alpha: float, c: float, M: float) -> float:
     """E|X-Y|**alpha - E|X+Y|**alpha for the two-point law, closed form.
 
     Valid for any finite alpha > 0 with M >= max(c, 1); negative for
-    alpha <= 2.  Raises NonFiniteError if alpha, c or M is not finite.
+    alpha <= 2.  Raises NonFiniteError if alpha, c or M is not finite, or
+    if a power of degree alpha, such as M**alpha, leaves double range.
     """
-    if not (math.isfinite(alpha) and math.isfinite(c) and math.isfinite(M)):
-        raise NonFiniteError(f"alpha, c, M must be finite, got ({alpha}, {c}, {M})")
+    alpha, c, M = _finite("alpha", alpha), _finite("c", c), _finite("M", M)
     if not alpha > 0:
         raise OutOfDomainError("alpha > 0")
     if not M >= max(c, 1.0):
         raise OutOfDomainError("M >= max(c, 1)")
     q = c / M
     p = 1.0 - q
-    m_alpha = M**alpha
-    # (M+1)**alpha - (M-1)**alpha without cancellation; at M = 1 the second
-    # power is exactly 0, where log1p(-1) would raise.
-    lower = -1.0 if M == 1.0 else math.expm1(alpha * math.log1p(-1.0 / M))
-    diff = m_alpha * (math.expm1(alpha * math.log1p(1.0 / M)) - lower)
-    two_alpha = 2.0**alpha
+    try:
+        m_alpha = M**alpha
+        # (M+1)**alpha - (M-1)**alpha without cancellation; at M = 1 the
+        # second power is exactly 0, where log1p(-1) would raise.
+        lower = -1.0 if M == 1.0 else math.expm1(alpha * math.log1p(-1.0 / M))
+        diff = m_alpha * (math.expm1(alpha * math.log1p(1.0 / M)) - lower)
+        two_alpha = 2.0**alpha
+    except OverflowError:
+        raise NonFiniteError(f"a power of degree alpha leaves double range at {(alpha, c, M)}") from None
     return 2.0 * p * q * diff - two_alpha * m_alpha * q * q - two_alpha * p * p
 
 
@@ -127,6 +131,7 @@ def lower_bound_chain(f: CounterFamily) -> BoundChain:
     Asserts exact >= bound1 and bound1 == bound2 up to floating tolerance;
     a failure signals a defect, not mathematics.
     """
+    exact = violation_exact(f)  # first: it raises NonFiniteError where M**alpha overflows
     alpha, c, M = f.alpha, f.c, f.M
     q = f.q
     p = f.p
@@ -136,7 +141,6 @@ def lower_bound_chain(f: CounterFamily) -> BoundChain:
     term_c = two_alpha * p * p
     bound1 = term_a - term_b - term_c
     bound2 = M ** (alpha - 2.0) * (4.0 * p * alpha * c - two_alpha * c * c) - term_c
-    exact = violation_exact(f)
     scale = abs(term_a) + abs(term_b) + abs(term_c)
     if exact < bound1 - 1e-10 * scale:
         raise InequalityViolationError(f"exact {exact!r} fell below bound1 {bound1!r}")

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import InvalidInputError, NonFiniteError, _finite
 
 __all__ = [
     "DiscreteDist",
@@ -34,8 +34,9 @@ __all__ = [
 
 _SUM_TOL = 1e-12
 
-# Values per block of a pair table in _pair_blocks and per chunk in _exact_sum:
-# 64 KB temporaries, below glibc's mmap threshold, are reused, not faulted in.
+# Values per block of a pair table in _pair_blocks, per chunk in _exact_sum and
+# per row block of kernel.cov_matrix: 64 KB temporaries, below glibc's mmap
+# threshold, are reused, not faulted in.
 PAIR_BLOCK = 1 << 13
 
 # Largest bucket count of the guide table in DiscreteDist.sampler (8 MB of
@@ -61,23 +62,20 @@ class DiscreteDist:
     def __init__(self, atoms: Sequence[tuple[float, float]]):
         merged: dict[float, float] = {}
         for x, p in atoms:
-            x = float(x)
-            p = float(p)
-            if not math.isfinite(x):
-                raise NonFiniteError(f"atom value {x} is not finite")
-            if not math.isfinite(p):
-                raise NonFiniteError(f"atom probability {p} is not finite")
+            x, p = _finite("atom value", x), _finite("atom probability", p)
             merged[x] = merged.get(x, 0.0) + p
         if not merged:
-            raise ValueError("distribution needs at least one atom")
+            raise InvalidInputError("distribution needs at least one atom")
         xs = sorted(merged)
         ps = [merged[x] for x in xs]
         for p in ps:
-            if p <= 0:
-                raise ValueError(f"atom probabilities must be > 0, got {p}")
+            # Above 1 + _SUM_TOL the sum check fails anyway; the bound keeps
+            # math.fsum from overflowing.
+            if not 0 < p <= 1 + _SUM_TOL:
+                raise InvalidInputError(f"atom probabilities must be in (0, 1], got {p}")
         total = math.fsum(ps)
         if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"probabilities must sum to 1 within {_SUM_TOL}, got {total!r}")
+            raise InvalidInputError(f"probabilities must sum to 1 within {_SUM_TOL}, got {total!r}")
         if total != 1.0:
             ps = [p / total for p in ps]
         # Fixpoint cleanup: nudge the heaviest atom until the sum is exactly
@@ -197,8 +195,8 @@ class Sampler:
     buffers, one pair per worker.  Any other sampler's ``draw(rng, size)``
     must return ``size`` real values of shape ``(size,)``; gap_mc copies them
     into the buffers as float64 (so longdouble draws lose their extra
-    precision), never writes to the returned array, and raises ValueError
-    for any other shape or for complex values.
+    precision), never writes to the returned array, and raises
+    InvalidInputError for any other shape or for complex values.
     """
 
     draw: Callable[..., np.ndarray]
@@ -303,28 +301,29 @@ def dist_from_json(obj) -> DiscreteDist:
     DiscreteDist rejects nonpositive p and |sum(p) - 1| > 1e-12.
     """
     if not isinstance(obj, dict) or "atoms" not in obj:
-        raise ValueError('distribution JSON must be an object with an "atoms" list')
+        raise InvalidInputError('distribution JSON must be an object with an "atoms" list')
     raw = obj["atoms"]
     if not isinstance(raw, list) or not raw:
-        raise ValueError('"atoms" must be a nonempty list')
+        raise InvalidInputError('"atoms" must be a nonempty list')
     pairs: dict[float, float] = {}
     for entry in raw:
         if not isinstance(entry, dict) or "x" not in entry or "p" not in entry:
-            raise ValueError('each atom must be an object with "x" and "p"')
+            raise InvalidInputError('each atom must be an object with "x" and "p"')
         x, p = _json_number(entry, "x"), _json_number(entry, "p")
         if x in pairs:
-            raise ValueError(f"duplicate atom value {x!r}")
+            raise InvalidInputError(f"duplicate atom value {x!r}")
         pairs[x] = p
     return DiscreteDist(list(pairs.items()))
 
 
 def _json_number(obj: dict, key: str) -> float:
     """``obj[key]`` as a float if it is a JSON number; strings, booleans,
-    null and containers raise ValueError."""
+    null and containers raise InvalidInputError, and numbers past double
+    range NonFiniteError."""
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f'"{key}" must be a JSON number, got {value!r}')
-    return float(value)
+        raise InvalidInputError(f'"{key}" must be a JSON number, got {value!r}')
+    return _finite(f'"{key}"', value)
 
 
 def dist_to_json(d: DiscreteDist) -> dict:

@@ -1,15 +1,27 @@
-"""Exception hierarchy shared by all bifrac modules.
+"""Exception hierarchy shared by all bifrac modules, and the checks that
+decide what an input error is.
 
-Every library error derives from :class:`BifracError` so callers can catch
-one base class.  The CLI maps subfamilies to stable exit codes (see
-``bifrac.cli``).
+Every error the library raises derives from :class:`BifracError`, so callers
+can catch one base class; any other exception leaving a library call is a
+defect.  :class:`InvalidInputError` is also a ``ValueError``.  The private
+checkers :func:`_finite` and :func:`_count` are the one validation path for
+real and integer arguments.  The CLI maps subfamilies to stable exit codes
+(see ``bifrac.cli``).
 """
 
 from __future__ import annotations
 
+import math
+import operator
+
 
 class BifracError(Exception):
     """Base class for all bifrac errors."""
+
+
+class InvalidInputError(BifracError, ValueError):
+    """An input is malformed or breaks a hypothesis of the call: a wrong
+    type, a count out of range, a law whose masses do not sum to 1."""
 
 
 class NonFiniteError(BifracError):
@@ -57,3 +69,30 @@ class SearchExhaustedError(BifracError):
 
 class InequalityViolationError(BifracError):
     """A nonnegativity assertion fired; signals a numerical or logic defect."""
+
+
+def _finite(name: str, value) -> float:
+    """``value`` as a float.  Raises InvalidInputError if it is not a real
+    number (a string is not) and NonFiniteError if it is NaN or infinite,
+    or an int past double range."""
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}") from None
+    except OverflowError:
+        raise NonFiniteError(f"{name} is past double range") from None
+    raise NonFiniteError(f"{name} must be finite, got {value!r}")
+
+
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int >= ``least``.  Raises InvalidInputError for a
+    value that is not an integer (a float is not, 2.0 included) or is
+    smaller."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+    if n < least:
+        raise InvalidInputError(f"{name} must be >= {least}, got {n}")
+    return n

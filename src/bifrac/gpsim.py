@@ -18,7 +18,7 @@ from functools import cache
 import numpy as np
 
 from ._rng import substream
-from .errors import NotPSDError, NumericalFailureError, OutOfDomainError
+from .errors import InvalidInputError, NotPSDError, NumericalFailureError, OutOfDomainError, _count
 from .kernel import BifParams, TimeGrid, cov_matrix
 
 __all__ = [
@@ -69,7 +69,7 @@ class PathBatch:
     def __post_init__(self) -> None:
         shape = np.shape(self.paths)
         if len(shape) != 2 or shape[1] != len(self.grid):
-            raise ValueError(
+            raise InvalidInputError(
                 f"paths must be 2-D with one column per grid point ({len(self.grid)}), "
                 f"got shape {shape}"
             )
@@ -110,7 +110,7 @@ def check_psd(m: CovMatrix, tol: float = 1e-8) -> PsdVerdict:
     minimum eigenvalue either way; the matrix is not modified.
     """
     if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+        raise InvalidInputError(f"tol must be > 0, got {tol}")
     try:
         eigs = np.linalg.eigvalsh(m.entries)
     except np.linalg.LinAlgError as exc:
@@ -163,12 +163,11 @@ def sample_paths(p: BifParams, grid: TimeGrid, m: int, seed: int) -> PathBatch:
     m : int
         Number of paths, >= 1.
     seed : int
-        Every value of (p, grid, m, seed) maps to one fixed batch.
+        >= 0.  Every value of (p, grid, m, seed) maps to one fixed batch.
     """
     if not p.in_domain:
         raise OutOfDomainError(p.failed_bound, "sampling requires (H, K) in the existence domain")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m, seed = _count("m", m, 1), _count("seed", seed, 0)
     z, l = _factor(build_cov_matrix(p, grid))
     paths = np.zeros((m, len(grid)), dtype=np.float64)
     for chunk, start in enumerate(range(0, m, CHUNK_ROWS)):

@@ -38,8 +38,11 @@ from .dists import DiscreteDist, Sampler, _exact_sum, _pair_blocks, _signed_weig
 from .errors import (
     InequalityViolationError,
     InsufficientSamplesError,
+    InvalidInputError,
     NonFiniteError,
     OutOfDomainError,
+    _count,
+    _finite,
 )
 from .kernel import BifParams, _cov_rows
 
@@ -136,7 +139,8 @@ def _in_range(d: DiscreteDist, alpha: float):
     of X / 2**e with 2**e > 2*max|x| (exact unless an atom goes subnormal)
     and ``back`` multiplies a moment of it by 2**(e*alpha) through
     math.ldexp, so no pair overflows before its weight p_i*p_j applies.
-    ``back`` raises NonFiniteError if the moment itself leaves double range.
+    ``back`` raises NonFiniteError if the moment itself leaves double range,
+    and this function does at once if e*alpha does.
     """
     x_max = max(map(abs, d.values()))
     if x_max == 0.0:  # every moment is 0; 0.0 ** alpha fails for alpha < 0
@@ -147,6 +151,8 @@ def _in_range(d: DiscreteDist, alpha: float):
     except OverflowError:
         pass
     e = math.frexp(x_max)[1] + 1
+    if not math.isfinite(e * alpha):
+        raise NonFiniteError(f"moments of degree {alpha!r} leave double range at max|x| {x_max!r}")
     whole, frac = divmod(e * alpha, 1.0)
 
     def back(m: float) -> float:
@@ -166,13 +172,12 @@ def gap_exact(d: DiscreteDist, alpha: float) -> GapReport:
     would overflow are evaluated rescaled (see :func:`_in_range`); raises
     NonFiniteError if alpha or a moment is not finite.
     """
-    if not math.isfinite(alpha):
-        raise NonFiniteError(f"alpha must be finite, got {alpha}")
+    alpha = _finite("alpha", alpha)
     if not alpha > 0:
         raise OutOfDomainError("alpha > 0")
     law, back = _in_range(d, alpha)
-    e_plus = back(expect_pair(law, lambda u, v: np.abs(u + v) ** alpha))
-    e_minus = back(expect_pair(law, lambda u, v: np.abs(u - v) ** alpha))
+    e_plus = back(expect_pair(law, lambda u, v: np.float_power(np.abs(u + v), alpha)))
+    e_minus = back(expect_pair(law, lambda u, v: np.float_power(np.abs(u - v), alpha)))
     report = GapReport(alpha=alpha, e_plus=e_plus, e_minus=e_minus, route="exact")
     if alpha <= 2:
         _check_nonneg(report.gap, e_plus + e_minus, "exact gap")
@@ -212,7 +217,7 @@ def gap_via_variance(d: DiscreteDist, alpha: float) -> GapReport:
     keys, w = _signed_weights(law)
     var = _signed_form(w, _cov_rows(BifParams(0.5, alpha), keys), "Var of kernel functional")
     gap = back(2.0**alpha * var)
-    e_plus = back(expect_pair(law, lambda u, v: np.abs(u + v) ** alpha))
+    e_plus = back(expect_pair(law, lambda u, v: np.float_power(np.abs(u + v), alpha)))
     return GapReport(alpha=alpha, e_plus=e_plus, e_minus=e_plus - gap, route="variance")
 
 
@@ -244,9 +249,9 @@ def _mc_chunk(s: Sampler, alpha: float, seed: int, chunk: int, size: int, work):
         else:
             drawn = s.draw(rng, size)
             if np.shape(drawn) != (size,):
-                raise ValueError(f"draw(rng, {size}) returned shape {np.shape(drawn)}, not ({size},)")
+                raise InvalidInputError(f"draw(rng, {size}) returned shape {np.shape(drawn)}, not ({size},)")
             if np.iscomplexobj(drawn):
-                raise ValueError(f"draw(rng, {size}) returned complex values, not real ones")
+                raise InvalidInputError(f"draw(rng, {size}) returned complex values, not real ones")
             np.copyto(buf, drawn)
     am, zero = y, x.view(np.bool_)[:size]  # x - y is written over y; x is not read after it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -290,12 +295,12 @@ def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> Gap
     """
     if not 0 < alpha <= 2:
         raise OutOfDomainError("0 < alpha <= 2")
-    if n < 2:
+    if _count("n", n, 0) < 2:
         raise InsufficientSamplesError(f"need n >= 2 pairs, got {n}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _count("seed", seed, 0)
+    _count("workers", workers, 1)
     if s.moment_hint is not None and alpha > s.moment_hint:
-        raise ValueError(
+        raise InvalidInputError(
             f"sampler only asserts finite moments up to order {s.moment_hint}, got alpha={alpha}"
         )
     sizes = [min(MC_CHUNK, n - start) for start in range(0, n, MC_CHUNK)]

@@ -19,10 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dists import PAIR_BLOCK
 from .errors import (
+    InvalidInputError,
     NegativeTimeError,
     NonFiniteError,
     OutOfDomainError,
+    _count,
+    _finite,
 )
 
 __all__ = [
@@ -33,12 +37,6 @@ __all__ = [
     "cov_matrix",
     "signed_identity_lhs",
 ]
-
-# Values per row block of cov_matrix, so each block's temporaries (64 KB)
-# stay below glibc's mmap threshold and are reused, not faulted in anew.
-# dists.PAIR_BLOCK's value, kept apart because `sample` does not load dists.
-COV_BLOCK = 1 << 13
-
 
 @dataclass(frozen=True)
 class BifParams:
@@ -55,8 +53,8 @@ class BifParams:
     K: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.H) and math.isfinite(self.K)):
-            raise NonFiniteError(f"H, K must be finite, got ({self.H}, {self.K})")
+        object.__setattr__(self, "H", _finite("H", self.H))
+        object.__setattr__(self, "K", _finite("K", self.K))
         if not self.H > 0:
             raise OutOfDomainError("H > 0")
         if not self.K > 0:
@@ -91,7 +89,7 @@ def validate_params(H: float, K: float) -> BifParams:
         :class:`BifParams`), then H <= 1, K <= 2, H*K <= 1
         (:attr:`BifParams.failed_bound`).
     """
-    p = BifParams(float(H), float(K))
+    p = BifParams(H, K)
     if p.failed_bound is not None:
         raise OutOfDomainError(p.failed_bound)
     return p
@@ -104,14 +102,13 @@ class TimeGrid:
     points: tuple[float, ...]
 
     def __post_init__(self):
-        pts = tuple(float(t) for t in self.points)
+        pts = _check_times(self.points)
         object.__setattr__(self, "points", pts)
         if not pts:
-            raise ValueError("grid must be nonempty")
-        _check_times(pts)
+            raise InvalidInputError("grid must be nonempty")
         for a, b in zip(pts, pts[1:]):
             if not b > a:
-                raise ValueError(f"grid must be strictly increasing, got {a} then {b}")
+                raise InvalidInputError(f"grid must be strictly increasing, got {a} then {b}")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -123,8 +120,8 @@ class TimeGrid:
     def regular(cls, start: float, step: float, count: int) -> "TimeGrid":
         """Grid start + i*step for i = 0..count-1 (index multiplication,
         never repeated addition)."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
+        start, step = _finite("start", start), _finite("step", step)
+        count = _count("count", count, 1)
         return cls(tuple(start + i * step for i in range(count)))
 
 
@@ -136,7 +133,7 @@ def cov(p: BifParams, t: float, s: float) -> float:
     |t-s| term vanishes exactly on the diagonal.  Raises NonFiniteError if
     a power leaves floating range.  :func:`cov_matrix` matches it bit for bit.
     """
-    _check_times((t, s))
+    t, s = _check_times((t, s))
     if s > t:
         t, s = s, t
     if s == 0.0:
@@ -165,17 +162,16 @@ def cov_matrix(p: BifParams, times) -> np.ndarray:
     the diagonal rightwards and mirrored into its columns.  Raises
     NonFiniteError if an entry leaves floating range.
     """
-    ts = [float(t) for t in times]
-    _check_times(ts)
-    ts = np.array(ts, dtype=np.float64)
+    ts = np.array(_check_times(times), dtype=np.float64)
     n = len(ts)
-    rows, step = _cov_rows(p, ts), max(1, COV_BLOCK // max(n, 1))
+    rows, step = _cov_rows(p, ts), max(1, PAIR_BLOCK // max(n, 1))
     entries = np.empty((n, n), dtype=np.float64)
     for lo in range(0, n, step):
-        entries[lo : lo + step, lo:] = block = rows(lo, lo + step)
+        block = rows(lo, lo + step)
+        if not np.isfinite(block).all():
+            raise NonFiniteError(f"cov overflowed on the grid for (H, K) = ({p.H}, {p.K})")
+        entries[lo : lo + step, lo:] = block
         entries[lo:, lo : lo + step] = block.T
-    if not np.isfinite(entries).all():
-        raise NonFiniteError(f"cov overflowed on the grid for (H, K) = ({p.H}, {p.K})")
     return entries
 
 
@@ -208,12 +204,13 @@ def _cov_rows(p: BifParams, ts: np.ndarray):
     return rows
 
 
-def _check_times(ts) -> None:
+def _check_times(ts) -> tuple[float, ...]:
+    """The times ``ts`` as floats, each finite and >= 0."""
+    ts = tuple(_finite("time", t) for t in ts)
     for t in ts:
-        if not math.isfinite(t):
-            raise NonFiniteError(f"times must be finite, got {t}")
         if t < 0:
             raise NegativeTimeError(f"times must be >= 0, got {t}")
+    return ts
 
 
 def signed_identity_lhs(u: float, v: float, alpha: float) -> float:
@@ -221,10 +218,16 @@ def signed_identity_lhs(u: float, v: float, alpha: float) -> float:
 
     For all real u, v this equals 2**alpha * cov((1/2, alpha), |u|, |v|)
     * sign(u) * sign(v), which is the bridge between the moment gap and the
-    kernel with H = 1/2, K = alpha.
+    kernel with H = 1/2, K = alpha.  Raises NonFiniteError if a power
+    leaves double range.
     """
-    if not (math.isfinite(u) and math.isfinite(v)):
-        raise NonFiniteError(f"u, v must be finite, got ({u}, {v})")
+    u, v = _finite("u", u), _finite("v", v)
     if not 0 < alpha <= 2:
         raise OutOfDomainError("0 < alpha <= 2")
-    return abs(u + v) ** alpha - abs(u - v) ** alpha
+    try:
+        value = abs(u + v) ** alpha - abs(u - v) ** alpha
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NonFiniteError(f"|u +- v|**alpha leaves double range at ({u}, {v}, {alpha})")
+    return value

@@ -11,6 +11,7 @@ from bifrac import (
     DiscreteDist,
     InequalityViolationError,
     InsufficientSamplesError,
+    InvalidInputError,
     NegativeArgumentError,
     NegativeTimeError,
     NonFiniteError,
@@ -611,12 +612,10 @@ class TestExitCodes:
             (NegativeArgumentError("r < 0"), 2),
             (DegenerateFamilyError("one atom"), 2),
             (InsufficientSamplesError("n < 2"), 2),
-            (ValueError("bad value"), 2),
-            (TypeError("bad type"), 2),
-            (OverflowError("too large"), 2),
+            (InvalidInputError("malformed input"), 2),
             (OSError("no such file"), 2),
             (FileNotFoundError("missing.json"), 2),
-            (json.JSONDecodeError("Expecting value", "{x", 1), 2),
+            (MemoryError("Unable to allocate 7.28 PiB"), 2),
         ],
         ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else str(v),
     )
@@ -630,13 +629,28 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
-        if isinstance(exc, json.JSONDecodeError):
-            assert captured.err.startswith("error: malformed JSON: ")
 
     def test_other_exceptions_propagate(self, monkeypatch):
-        def fail(args):
-            raise RuntimeError("a defect, not an input error")
+        # The library raises only BifracError subclasses, so a bare builtin
+        # reaching main is a defect too, and must not be reported as an
+        # input error.
+        for exc in (
+            RuntimeError("a defect, not an input error"),
+            ValueError("bad value"),
+            TypeError("bad type"),
+            OverflowError("too large"),
+        ):
+            def fail(args):
+                raise exc
 
-        monkeypatch.setattr(cli, "_cmd_series_check", fail)
-        with pytest.raises(RuntimeError):
-            main(["series-check", "--x", "1", "--y", "1", "--t", "1", "--n-terms", "1"])
+            monkeypatch.setattr(cli, "_cmd_series_check", fail)
+            with pytest.raises(type(exc)):
+                main(["series-check", "--x", "1", "--y", "1", "--t", "1", "--n-terms", "1"])
+
+    def test_malformed_json_file_maps_to_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{x")
+        assert main(["gap", "-d", str(bad), "--alpha", "1", "--route", "exact"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed JSON: Expecting property name")

@@ -99,6 +99,53 @@ class TestCheckPsd:
             check_psd(m, tol=math.nan)
 
 
+def _fbm_defect(p: BifParams, ts: np.ndarray) -> np.ndarray:
+    """C = 2**-K * (u**K + v**K - (u + v)**K) on the times ts, u = t**(2H)."""
+    u = np.float_power(ts, 2.0 * p.H)
+    uk = np.float_power(u, p.K)
+    return 2.0**-p.K * (uk[:, None] + uk[None, :] - np.float_power(u[:, None] + u[None, :], p.K))
+
+
+@st.composite
+def _oracle_grids(draw):
+    """Regular grids from t = 0, and multi-scale grids (t from 1e-6 to 1e3)
+    with or without t = 0."""
+    n = draw(st.integers(2, 60))
+    if draw(st.booleans()):
+        step = draw(st.floats(1e-3, 10.0))
+        return TimeGrid.regular(0.0, step, n)
+    exps = draw(st.lists(st.floats(-6.0, 3.0), min_size=n, max_size=n))
+    pts = sorted(set(10.0**e for e in exps))
+    return TimeGrid(tuple([0.0] * draw(st.booleans()) + pts))
+
+
+# In-domain (H, K) with K away from 1, where C vanishes and its sign flips.
+_oracle_params = st.tuples(
+    st.floats(0.05, 1.0), st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 2.0))
+).filter(lambda hk: hk[0] * hk[1] <= 1.0).map(lambda hk: validate_params(*hk))
+
+
+class TestFbmDecomposition:
+    """R_{H,K} + C = 2**(1-K) * R_{HK,1}, the fBm covariance of Hurst index
+    HK, with C PSD for K < 1 (Lei & Nualart 2009) and -C PSD for K > 1
+    (Bardina & Es-Sebaiy 2011): a PSD certificate that does not come from
+    eigvalsh."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_oracle_params, _oracle_grids())
+    def test_identity_and_sign_of_c(self, p, grid):
+        ts = np.array(grid.points)
+        r = build_cov_matrix(p, grid)
+        fbm = build_cov_matrix(BifParams(p.H * p.K, 1.0), grid).entries
+        c = _fbm_defect(p, ts)
+        # Every term is at most a few times the largest diagonal entry of R.
+        assert np.abs(r.entries + c - 2.0 ** (1.0 - p.K) * fbm).max() <= 8 * 2.0**-52 * r.scale
+        signed = CovMatrix(p, grid, c if p.K < 1 else -c)
+        assert check_psd(signed).is_psd
+        if p.K > 1:  # R is the sum of two covariances
+            assert check_psd(r).is_psd
+
+
 class TestCholeskyFactor:
     def test_reconstruction(self):
         rng = np.random.default_rng(22)

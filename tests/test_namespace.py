@@ -46,6 +46,7 @@ EXPORTS = {
         "DegenerateFamilyError",
         "InequalityViolationError",
         "InsufficientSamplesError",
+        "InvalidInputError",
         "NegativeArgumentError",
         "NegativeTimeError",
         "NonFiniteError",
