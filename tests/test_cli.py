@@ -631,21 +631,28 @@ class TestExitCodes:
         assert captured.err.startswith("error: ")
 
     def test_other_exceptions_propagate(self, monkeypatch):
+        def fail(args):
+            raise RuntimeError("a defect, not an input error")
+
+        monkeypatch.setattr(cli, "_cmd_series_check", fail)
+        with pytest.raises(RuntimeError):
+            main(["series-check", "--x", "1", "--y", "1", "--t", "1", "--n-terms", "1"])
+
+    @pytest.mark.parametrize(
+        "exc",
+        [ValueError("bad value"), TypeError("bad type"), OverflowError("too large")],
+        ids=lambda v: type(v).__name__,
+    )
+    def test_builtin_exception_propagates(self, monkeypatch, exc):
         # The library raises only BifracError subclasses, so a bare builtin
         # reaching main is a defect too, and must not be reported as an
         # input error.
-        for exc in (
-            RuntimeError("a defect, not an input error"),
-            ValueError("bad value"),
-            TypeError("bad type"),
-            OverflowError("too large"),
-        ):
-            def fail(args):
-                raise exc
+        def fail(args):
+            raise exc
 
-            monkeypatch.setattr(cli, "_cmd_series_check", fail)
-            with pytest.raises(type(exc)):
-                main(["series-check", "--x", "1", "--y", "1", "--t", "1", "--n-terms", "1"])
+        monkeypatch.setattr(cli, "_cmd_series_check", fail)
+        with pytest.raises(type(exc)):
+            main(["series-check", "--x", "1", "--y", "1", "--t", "1", "--n-terms", "1"])
 
     def test_malformed_json_file_maps_to_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
