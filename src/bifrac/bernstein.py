@@ -28,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dists import DiscreteDist, _json_number, _signed_weights, expect_pair
-from .errors import InvalidInputError, NegativeArgumentError, NonFiniteError, _count, _finite
+from .dists import DiscreteDist, _block_buffer, _json_number, _rows, _signed_weights, expect_pair
+from .errors import InvalidInputError, NegativeArgumentError, NonFiniteError, _count, _finite, _real
 from .inequality import GapReport, _signed_form
 
 __all__ = [
@@ -92,6 +92,7 @@ class IdentityCheck(NamedTuple):
 
 def eval_g(g: BernsteinFn, lam: float) -> float:
     """G(lam) for lam >= 0; nondecreasing, G(0) = a."""
+    lam = _real("lam", lam)
     if not lam >= 0:
         raise NegativeArgumentError(f"lam must be >= 0, got {lam}")
     linear = [g.b * lam] if g.b else []  # 0 * inf is NaN
@@ -103,18 +104,21 @@ def eval_g(g: BernsteinFn, lam: float) -> float:
 
 def eval_f(g: BernsteinFn, lam: float) -> float:
     """F(lam) = G(lam**2) for lam >= 0."""
+    lam = _real("lam", lam)
     if not lam >= 0:
         raise NegativeArgumentError(f"lam must be >= 0, got {lam}")
     return eval_g(g, lam * lam)
 
 
-def _f_block(g: BernsteinFn, lam: np.ndarray) -> np.ndarray:
-    """F(lam) = G(lam**2) on an array of lam >= 0, the terms of G added in
-    representation order (a, b*lam**2, then each measure atom)."""
-    lam2 = lam * lam
-    f = g.a + g.b * lam2 if g.b else np.full_like(lam2, g.a)  # 0 * inf is NaN
+def _f_block(g: BernsteinFn, lam2: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """F(lam) = G(lam**2) on an array of lam**2 >= 0, the terms of G added in
+    representation order (a, b*lam**2, then each measure atom), as a new
+    array; ``work`` is a scratch array of the same shape."""
+    # 0 * inf is NaN
+    f = np.add(g.a, np.multiply(g.b, lam2, out=work)) if g.b else np.full_like(lam2, g.a)
     for t, w in g.mu:
-        f = f + w * (1.0 - np.exp(-t * lam2))
+        e = np.exp(np.multiply(-t, lam2, out=work), out=work)
+        f += np.multiply(w, np.subtract(1.0, e, out=e), out=e)
     return f
 
 
@@ -124,16 +128,31 @@ def bernstein_gap_exact(d: DiscreteDist, g: BernsteinFn) -> GapReport:
     blocks of T(u, v) = F(u + v) - F(|u - v|) = 4b*u*v - sum_t omega_t *
     exp(-t(u-v)**2) * expm1(-4tuv) >= 0 (omega_t the weight of atom t),
     e_minus = e_plus - gap."""
-    e_plus = expect_pair(d, lambda u, v: _f_block(g, np.abs(u + v)))
+    # Each block allocates only the array it returns (see dists.PAIR_BLOCK).
+    buf = [_block_buffer(len(d)) for _ in range(4)]
+
+    def f_abs_sum(u, v):
+        lam2, work = (_rows(b, 0, len(u), v.shape[1]) for b in buf[:2])
+        np.add(u, v, out=lam2)
+        return _f_block(g, np.multiply(lam2, lam2, out=lam2), work)  # |u+v|**2 is (u+v)**2
+
+    e_plus = expect_pair(d, f_abs_sum)
     keys, w = _signed_weights(d)
 
     def table(lo, hi):
         u, v = keys[lo:hi, None], keys[lo:]
+        uv, d2, e, m = (_rows(b, lo, hi, len(keys)) for b in buf)
         with np.errstate(over="ignore"):  # inf in uv, d2 gives exp 0, expm1 -1
-            uv, d2 = u * v, (u - v) ** 2
-            t_uv = 4.0 * (g.b * uv) if g.b else np.zeros_like(uv)
+            np.multiply(u, v, out=uv)
+            np.subtract(u, v, out=d2)
+            d2 *= d2
+            t_uv = np.multiply(g.b, uv) if g.b else np.zeros_like(uv)
+            t_uv *= 4.0
             for t, omega in g.mu:
-                t_uv -= omega * np.exp(-t * d2) * np.expm1(-4.0 * (t * uv))
+                np.exp(np.multiply(-t, d2, out=e), out=e)
+                np.expm1(np.multiply(-4.0, np.multiply(t, uv, out=m), out=m), out=m)
+                e *= omega
+                t_uv -= np.multiply(e, m, out=e)
         return t_uv
 
     gap = _signed_form(w, table, "Bernstein gap")
@@ -164,6 +183,7 @@ def elementary_gap_series(
         If 2*t*max|x|**2 is so large that the dominating coefficients
         leave floating range even after rescaling.
     """
+    t = _real("t", t)
     if not t > 0:
         raise InvalidInputError(f"t must be > 0, got {t}")
     if n_terms is not None:
@@ -220,7 +240,7 @@ def series_identity_check(x: float, y: float, t: float, n_terms: int) -> Identit
     InvalidInputError when the walk would start past term 2**53,
     min(|w|/2, n_terms - 1).
     """
-    x, y = _finite("x", x), _finite("y", y)
+    x, y, t = _finite("x", x), _finite("y", y), _real("t", t)
     if not t > 0:
         raise InvalidInputError(f"t must be > 0, got {t}")
     n_terms = _count("n_terms", n_terms, 1)

@@ -27,6 +27,7 @@ from .errors import (
     OutOfDomainError,
     SearchExhaustedError,
     _finite,
+    _real,
 )
 
 __all__ = [
@@ -156,6 +157,7 @@ def find_violation(alpha: float) -> CounterFamily:
     2*max(c, 1) until the closed form goes positive.  The threshold choice
     guarantees termination; the M cap only guards numerical breakdown.
     """
+    alpha = _real("alpha", alpha)
     if not alpha > 2:
         raise OutOfDomainError("alpha > 2")
     if not alpha <= ALPHA_MAX:

@@ -12,6 +12,7 @@ same stream as ``Generator.choice(xs, size, p=ps)``.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import threading
@@ -36,8 +37,19 @@ _SUM_TOL = 1e-12
 
 # Values per block of a pair table in _pair_blocks, per chunk in _exact_sum and
 # per row block of kernel.cov_matrix: 64 KB temporaries, below glibc's mmap
-# threshold, are reused, not faulted in.
+# threshold.  glibc keeps 128 KB free on top of the heap and, at its default
+# trim threshold, gives back the rest when it is freed, so a block that
+# allocated more than that would fault its pages in again.  A block therefore
+# allocates at most one new block-sized array: the rest go to buffers made
+# once per call (_block_buffer), and numpy's ufunc buffers, which hold a
+# broadcast operand such as a block's (r, 1) or (1, c) half and are as large
+# as the block by default, are set to UFUNC_BUFFER values (_block_ufuncs).
 PAIR_BLOCK = 1 << 13
+UFUNC_BUFFER = 1 << 10
+
+# The weights of a block's own square in _pair_blocks: 0 below the diagonal,
+# 1 on it, 2 above.  A block has at most isqrt(PAIR_BLOCK) rows.
+_SQUARE_WEIGHTS = 2.0 - np.tri(math.isqrt(PAIR_BLOCK)) - np.tri(math.isqrt(PAIR_BLOCK), k=-1)
 
 # Largest bucket count of the guide table in DiscreteDist.sampler (8 MB of
 # float64 values and 8 MB of bucket starts), so its memory stops growing
@@ -231,34 +243,63 @@ def expect_pair(d: DiscreteDist, g: Callable[[np.ndarray, np.ndarray], np.ndarra
     ``g`` gets numpy blocks of the x_i by x_j table, ``u`` of shape (r, 1)
     and ``v`` of shape (1, c), and returns values that broadcast to (r, c);
     g(u, v) must equal g(v, u) bit for bit.  Raises NonFiniteError at the
-    first pair where g is NaN or infinite.
+    first pair where g is NaN or infinite.  A g that allocates at most one
+    new block-sized array keeps the blocks' pages in the heap (see PAIR_BLOCK).
     """
     xs, ps = np.array(d.values()), np.array(d.probs())
+    buf = _block_buffer(len(xs))
 
     def block(lo, hi):
         # Since 0 <= p_i * p_j <= 1, a term is finite exactly when g is.
         with np.errstate(all="ignore"):
-            return ps[lo:hi, None] * ps[None, lo:] * g(xs[lo:hi, None], xs[None, lo:])
+            gv = g(xs[lo:hi, None], xs[None, lo:])
+            t = np.multiply(ps[lo:hi, None], ps[None, lo:], out=_rows(buf, lo, hi, len(xs)))
+            return np.multiply(t, gv, out=t)
 
     pairs = _pair_blocks(len(xs), block, lambda i, j: f"g({xs[i]}, {xs[j]}) is not finite")
     return _exact_sum(pairs)
 
 
+@contextlib.contextmanager
+def _block_ufuncs():
+    """numpy ufuncs with buffers of UFUNC_BUFFER values, for a block's
+    arithmetic (see PAIR_BLOCK); numpy 1.x's errstate does not restore the
+    buffer size, so it is restored here."""
+    old = np.setbufsize(UFUNC_BUFFER)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
+def _block_buffer(k: int) -> np.ndarray:
+    """A float64 buffer that holds any block :func:`_pair_blocks` asks of a
+    k by k table, to be reused from block to block (see PAIR_BLOCK)."""
+    return np.empty(max(PAIR_BLOCK, k))
+
+
+def _rows(buf: np.ndarray, lo: int, hi: int, k: int) -> np.ndarray:
+    """Rows lo:hi, columns lo: of a k by k table, as a view of ``buf``."""
+    return buf[: (hi - lo) * (k - lo)].reshape(hi - lo, k - lo)
+
+
 def _pair_blocks(k: int, block: Callable[[int, int], np.ndarray], bad: Callable[..., str]):
     """Blocks whose :func:`_exact_sum` is the math.fsum of the symmetric k by k
     table t, bit for bit, from its upper triangle: ``block(lo, hi)`` returns
-    rows lo:hi, columns lo: (about PAIR_BLOCK values) as a new array, which
-    this overwrites.  Raises NonFiniteError(bad(i, j)) at the first non-finite
-    t_ij in row-major order.  t_ji is t_ij, and 2*t_ij is exact and finite
-    (callers weigh t_ij, i != j, by at most 1/4): t_ii and 2*t_ij, j > i, add to t's total."""
+    rows lo:hi, columns lo: (about PAIR_BLOCK values) as an array that this
+    overwrites and the next call may reuse; it runs under :func:`_block_ufuncs`.
+    Raises NonFiniteError(bad(i, j)) at the first non-finite t_ij in row-major
+    order.  t_ji is t_ij, and 2*t_ij is exact and finite (callers weigh t_ij,
+    i != j, by at most 1/4): t_ii and 2*t_ij, j > i, add to t's total."""
     hi = 0
     while hi < k:
         lo, hi = hi, min(k, hi + max(1, PAIR_BLOCK // (k - hi)))
-        t = block(lo, hi)
-        if (at := np.argwhere(~np.isfinite(t))).size:
-            raise NonFiniteError(bad(*(lo + at[0])))
-        t[:, : hi - lo] *= 2.0 - np.tri(hi - lo) - np.tri(hi - lo, k=-1)  # 0 for j < i, 1 for j = i
-        t[:, hi - lo :] *= 2.0
+        with _block_ufuncs():
+            t = block(lo, hi)
+            if (at := np.argwhere(~np.isfinite(t))).size:
+                raise NonFiniteError(bad(*(lo + at[0])))
+            t[:, : hi - lo] *= _SQUARE_WEIGHTS[: hi - lo, : hi - lo]
+            t[:, hi - lo :] *= 2.0
         yield t.ravel()
 
 
@@ -273,15 +314,19 @@ def _exact_sum(blocks: Iterable[np.ndarray]) -> float:
     first chunk with inf, NaN or |x| >= 2**960 on, values pass as they are."""
     def parts():
         chunks = (x for b in blocks for x in np.split(b, range(PAIR_BLOCK, b.size, PAIR_BLOCK)))
+        es, hs = np.empty(PAIR_BLOCK, np.int64), np.empty(PAIR_BLOCK)
         for x in chunks:
-            e = x.view(np.int64) >> 52 & 0x7FF
+            e, h = es[: x.size], hs[: x.size]
+            np.right_shift(x.view(np.int64), 52, out=e)
+            e &= 0x7FF
             if e.max(initial=0) >= 1023 + 960:
                 yield x
                 yield from chunks
                 return
-            h = (x.view(np.int64) & -(1 << 26)).view(np.float64)
-            hs, ls = np.bincount(e, weights=h), np.bincount(e, weights=x - h)
-            yield from (hs[hs != 0], ls[ls != 0])
+            np.bitwise_and(x.view(np.int64), -(1 << 26), out=h.view(np.int64))
+            hsum = np.bincount(e, weights=h)
+            lsum = np.bincount(e, weights=np.subtract(x, h, out=h))
+            yield from (hsum[hsum != 0], lsum[lsum != 0])
 
     return math.fsum(itertools.chain.from_iterable(map(memoryview, parts())))
 

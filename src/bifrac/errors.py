@@ -4,9 +4,9 @@ decide what an input error is.
 Every error the library raises derives from :class:`BifracError`, so callers
 can catch one base class; any other exception leaving a library call is a
 defect.  :class:`InvalidInputError` is also a ``ValueError``.  The private
-checkers :func:`_finite` and :func:`_count` are the one validation path for
-real and integer arguments.  The CLI maps subfamilies to stable exit codes
-(see ``bifrac.cli``).
+checkers :func:`_real`, :func:`_finite` and :func:`_count` are the one
+validation path for real and integer arguments.  The CLI maps subfamilies to
+stable exit codes (see ``bifrac.cli``).
 """
 
 from __future__ import annotations
@@ -71,28 +71,38 @@ class InequalityViolationError(BifracError):
     """A nonnegativity assertion fired; signals a numerical or logic defect."""
 
 
-def _finite(name: str, value) -> float:
-    """``value`` as a float.  Raises InvalidInputError if it is not a real
-    number (a string is not) and NonFiniteError if it is NaN or infinite,
-    or an int past double range."""
+def _real(name: str, value) -> float:
+    """``value`` as a float, NaN and infinities included, for a check such
+    as ``not x > 0`` to judge.  Raises InvalidInputError if it is not a real
+    number (a string is not) and NonFiniteError for an int past double
+    range."""
     try:
-        if math.isfinite(value):
-            return float(value)
+        math.isfinite(value)
     except (TypeError, ValueError):
         raise InvalidInputError(f"{name} must be a real number, got {value!r}") from None
     except OverflowError:
         raise NonFiniteError(f"{name} is past double range") from None
-    raise NonFiniteError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def _finite(name: str, value) -> float:
+    """``value`` as a float.  Raises as :func:`_real` does, and
+    NonFiniteError if it is NaN or infinite."""
+    x = _real(name, value)
+    if not math.isfinite(x):
+        raise NonFiniteError(f"{name} must be finite, got {x!r}")
+    return x
 
 
 def _count(name: str, value, least: int) -> int:
     """``value`` as an int >= ``least``.  Raises InvalidInputError for a
     value that is not an integer (a float is not, 2.0 included) or is
-    smaller."""
+    smaller; the message leaves out an int too long to print."""
     try:
         n = operator.index(value)
     except TypeError:
         raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
     if n < least:
-        raise InvalidInputError(f"{name} must be >= {least}, got {n}")
+        got = f", got {n}" if n.bit_length() <= 64 else ""
+        raise InvalidInputError(f"{name} must be >= {least}{got}")
     return n

@@ -18,7 +18,7 @@ from functools import cache
 import numpy as np
 
 from ._rng import substream
-from .errors import InvalidInputError, NotPSDError, NumericalFailureError, OutOfDomainError, _count
+from .errors import InvalidInputError, NotPSDError, NumericalFailureError, OutOfDomainError, _count, _real
 from .kernel import BifParams, TimeGrid, cov_matrix
 
 __all__ = [
@@ -109,6 +109,7 @@ def check_psd(m: CovMatrix, tol: float = 1e-8) -> PsdVerdict:
     largest diagonal entry.  The returned verdict carries the computed
     minimum eigenvalue either way; the matrix is not modified.
     """
+    tol = _real("tol", tol)
     if not tol > 0:
         raise InvalidInputError(f"tol must be > 0, got {tol}")
     try:

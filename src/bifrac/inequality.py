@@ -34,7 +34,16 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rng import substream
-from .dists import DiscreteDist, Sampler, _exact_sum, _pair_blocks, _signed_weights, expect_pair
+from .dists import (
+    DiscreteDist,
+    Sampler,
+    _block_buffer,
+    _exact_sum,
+    _pair_blocks,
+    _rows,
+    _signed_weights,
+    expect_pair,
+)
 from .errors import (
     InequalityViolationError,
     InsufficientSamplesError,
@@ -43,6 +52,7 @@ from .errors import (
     OutOfDomainError,
     _count,
     _finite,
+    _real,
 )
 from .kernel import BifParams, _cov_rows
 
@@ -112,16 +122,18 @@ def _check_nonneg(value: float, scale: float, what: str) -> None:
 
 def _signed_form(w: np.ndarray, block, what: str) -> float:
     """w^T R w, checked >= 0, for the symmetric R of which ``block(lo, hi)``
-    returns rows lo:hi, columns lo:.  The terms R_ij*(w_i*w_j) are summed by
-    :func:`_pair_blocks` (one math.fsum); the tolerance scale is the numpy sum of
-    their absolute values (no cancellation).  A block covers its own square
+    returns rows lo:hi, columns lo: as a new array, which this overwrites.
+    The terms R_ij*(w_i*w_j) are summed by :func:`_pair_blocks` (one
+    math.fsum); the tolerance scale is the numpy sum of their absolute values
+    (no cancellation).  A block covers its own square
     of the table, and its columns right of that stand for their mirror too."""
-    scale = 0.0
+    scale, buf = 0.0, _block_buffer(len(w))
 
     def terms(lo, hi):
         nonlocal scale
-        t = block(lo, hi) * (w[lo:hi, None] * w[lo:])
-        a = np.abs(t)
+        t = block(lo, hi)
+        t *= np.multiply(w[lo:hi, None], w[lo:], out=_rows(buf, lo, hi, len(w)))
+        a = np.abs(t, out=_rows(buf, lo, hi, len(w)))
         scale += float(a.sum() + a[:, hi - lo :].sum())
         return t
 
@@ -129,6 +141,13 @@ def _signed_form(w: np.ndarray, block, what: str) -> float:
     value = _exact_sum(pairs)
     _check_nonneg(value, scale, what)
     return value
+
+
+def _abs_pow(s: np.ndarray, alpha: float) -> np.ndarray:
+    """|s|**alpha by libm ``pow``, written over the new array s, so a pair
+    block allocates one array (see ``dists.PAIR_BLOCK``); pow(x, 1) is x."""
+    np.abs(s, out=s)
+    return s if alpha == 1.0 else np.float_power(s, alpha, out=s)
 
 
 def _in_range(d: DiscreteDist, alpha: float):
@@ -176,8 +195,8 @@ def gap_exact(d: DiscreteDist, alpha: float) -> GapReport:
     if not alpha > 0:
         raise OutOfDomainError("alpha > 0")
     law, back = _in_range(d, alpha)
-    e_plus = back(expect_pair(law, lambda u, v: np.float_power(np.abs(u + v), alpha)))
-    e_minus = back(expect_pair(law, lambda u, v: np.float_power(np.abs(u - v), alpha)))
+    e_plus = back(expect_pair(law, lambda u, v: _abs_pow(u + v, alpha)))
+    e_minus = back(expect_pair(law, lambda u, v: _abs_pow(u - v, alpha)))
     report = GapReport(alpha=alpha, e_plus=e_plus, e_minus=e_minus, route="exact")
     if alpha <= 2:
         _check_nonneg(report.gap, e_plus + e_minus, "exact gap")
@@ -199,7 +218,7 @@ def gap_tail_integral(d: DiscreteDist) -> GapReport:
     units = [n * unit // m for n, m in map(float.as_integer_ratio, w.tolist())]
     tails = np.array([t / unit for t in itertools.accumulate(reversed(units))][::-1])
     gap = back(2.0 * math.fsum(memoryview(np.diff(keys, prepend=0.0) * tails * tails)))
-    e_plus = back(expect_pair(law, lambda u, v: np.abs(u + v)))
+    e_plus = back(expect_pair(law, lambda u, v: _abs_pow(u + v, 1.0)))
     return GapReport(alpha=1.0, e_plus=e_plus, e_minus=e_plus - gap, route="tail")
 
 
@@ -211,13 +230,14 @@ def gap_via_variance(d: DiscreteDist, alpha: float) -> GapReport:
     the variance is the quadratic form w^T R w with R the kernel matrix on
     those points; it must be nonnegative, which is exactly why the gap is.
     """
+    alpha = _real("alpha", alpha)
     if not 0 < alpha <= 2:
         raise OutOfDomainError("0 < alpha <= 2")
     law, back = _in_range(d, alpha)
     keys, w = _signed_weights(law)
     var = _signed_form(w, _cov_rows(BifParams(0.5, alpha), keys), "Var of kernel functional")
     gap = back(2.0**alpha * var)
-    e_plus = back(expect_pair(law, lambda u, v: np.float_power(np.abs(u + v), alpha)))
+    e_plus = back(expect_pair(law, lambda u, v: _abs_pow(u + v, alpha)))
     return GapReport(alpha=alpha, e_plus=e_plus, e_minus=e_plus - gap, route="variance")
 
 
@@ -293,13 +313,14 @@ def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> Gap
     Raises NonFiniteError if a sum of |X+-Y|**alpha or the variance of the
     difference is not finite.
     """
+    alpha = _real("alpha", alpha)
     if not 0 < alpha <= 2:
         raise OutOfDomainError("0 < alpha <= 2")
     if _count("n", n, 0) < 2:
         raise InsufficientSamplesError(f"need n >= 2 pairs, got {n}")
     _count("seed", seed, 0)
     _count("workers", workers, 1)
-    if s.moment_hint is not None and alpha > s.moment_hint:
+    if s.moment_hint is not None and alpha > _real("moment_hint", s.moment_hint):
         raise InvalidInputError(
             f"sampler only asserts finite moments up to order {s.moment_hint}, got alpha={alpha}"
         )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import PAIR_BLOCK
+from .dists import PAIR_BLOCK, _block_buffer, _block_ufuncs, _rows
 from .errors import (
     InvalidInputError,
     NegativeTimeError,
@@ -27,6 +27,7 @@ from .errors import (
     OutOfDomainError,
     _count,
     _finite,
+    _real,
 )
 
 __all__ = [
@@ -166,12 +167,13 @@ def cov_matrix(p: BifParams, times) -> np.ndarray:
     n = len(ts)
     rows, step = _cov_rows(p, ts), max(1, PAIR_BLOCK // max(n, 1))
     entries = np.empty((n, n), dtype=np.float64)
-    for lo in range(0, n, step):
-        block = rows(lo, lo + step)
-        if not np.isfinite(block).all():
-            raise NonFiniteError(f"cov overflowed on the grid for (H, K) = ({p.H}, {p.K})")
-        entries[lo : lo + step, lo:] = block
-        entries[lo:, lo : lo + step] = block.T
+    with _block_ufuncs():
+        for lo in range(0, n, step):
+            block = rows(lo, min(lo + step, n))
+            if not np.isfinite(block).all():
+                raise NonFiniteError(f"cov overflowed on the grid for (H, K) = ({p.H}, {p.K})")
+            entries[lo : lo + step, lo:] = block
+            entries[lo:, lo : lo + step] = block.T
     return entries
 
 
@@ -185,18 +187,22 @@ def _cov_rows(p: BifParams, ts: np.ndarray):
     go through ``np.float_power``, which calls libm ``pow`` as ``**`` on
     Python floats does; ``np.power`` may run a vectorized pow that differs
     in the last bit, which would break the equality.  Overflow gives inf,
-    not an error.
+    not an error.  A block is the one new array a call allocates (see
+    ``dists.PAIR_BLOCK``).
     """
     K = p.K
     two_hk = 2.0 * p.H * K
     c = 2.0 ** (-K)
     with np.errstate(over="ignore"):
         pw = np.float_power(ts, 2.0 * p.H)
+    buf = _block_buffer(len(ts))
 
     def rows(lo: int, hi: int) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            block = np.float_power(pw[lo:hi, None] + pw[lo:], K)
-            block -= np.float_power(np.abs(ts[lo:] - ts[lo:hi, None]), two_hk)
+            block = pw[lo:hi, None] + pw[lo:]
+            np.float_power(block, K, out=block)
+            gap = np.subtract(ts[lo:], ts[lo:hi, None], out=_rows(buf, lo, hi, len(ts)))
+            block -= np.float_power(np.abs(gap, out=gap), two_hk, out=gap)
             block *= c
         block[ts[lo:hi] == 0.0] = block[:, ts[lo:] == 0.0] = 0.0
         return block
@@ -221,7 +227,7 @@ def signed_identity_lhs(u: float, v: float, alpha: float) -> float:
     kernel with H = 1/2, K = alpha.  Raises NonFiniteError if a power
     leaves double range.
     """
-    u, v = _finite("u", u), _finite("v", v)
+    u, v, alpha = _finite("u", u), _finite("v", v), _real("alpha", alpha)
     if not 0 < alpha <= 2:
         raise OutOfDomainError("0 < alpha <= 2")
     try:

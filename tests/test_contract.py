@@ -209,7 +209,7 @@ finite = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 positive = finite.map(abs).filter(lambda v: v > 0)
-# What a constructor may be handed: also strings, None and ints past double range.
+# What a caller may hand a real argument: also strings, None and ints past double range.
 values = st.one_of(reals, st.sampled_from(["a", "1.5", "", "nan", None, 10**400, -(10**400)]))
 
 
@@ -217,7 +217,7 @@ def counts(hi):
     """Counts up to ``hi``, and values no count may take."""
     return st.one_of(
         st.integers(-3, hi),
-        st.sampled_from([-(2**70), 2.5, 2.0, math.nan, math.inf, "3", None, True]),
+        st.sampled_from([-(2**70), -(10**5000), 2.5, 2.0, math.nan, math.inf, "3", None, True]),
     )
 
 
@@ -251,7 +251,7 @@ samplers = st.one_of(
     laws(50).map(DiscreteDist.sampler),
     st.builds(Sampler, st.just(lambda rng, size: np.zeros(size + 1))),  # wrong shape
     st.builds(Sampler, st.just(lambda rng, size: np.ones(size) * 1j)),  # complex
-    st.builds(Sampler, st.just(lambda rng, size: rng.standard_normal(size)), reals),
+    st.builds(Sampler, st.just(lambda rng, size: rng.standard_normal(size)), values),
 )
 
 
@@ -298,7 +298,7 @@ CALLS = {
     "bernstein_to_json": (bernsteins(), bernstein_to_json),
     "build_cov_matrix": (st.tuples(params, grids()), build_cov_matrix),
     "check_psd": (
-        st.tuples(params, grids(), reals), lambda p, g, tol: check_psd(build_cov_matrix(p, g), tol)
+        st.tuples(params, grids(), values), lambda p, g, tol: check_psd(build_cov_matrix(p, g), tol)
     ),
     "cholesky_factor": (st.tuples(params, grids()), lambda p, g: cholesky_factor(build_cov_matrix(p, g))),
     "closed_form_violation": (st.tuples(values, values, values), closed_form_violation),
@@ -315,26 +315,26 @@ CALLS = {
     ),
     "dist_to_json": (laws(), dist_to_json),
     "elementary_gap_series": (
-        st.tuples(laws(), reals, st.one_of(st.none(), counts(1000))),
+        st.tuples(laws(), values, st.one_of(st.none(), counts(1000))),
         elementary_gap_series,
     ),
-    "eval_f": (st.tuples(bernsteins(), reals), eval_f),
-    "eval_g": (st.tuples(bernsteins(), reals), eval_g),
+    "eval_f": (st.tuples(bernsteins(), values), eval_f),
+    "eval_g": (st.tuples(bernsteins(), values), eval_g),
     "expect": (laws(50), lambda d: expect(d, lambda x: x * x)),
     "expect_pair": (laws(50), lambda d: expect_pair(d, lambda u, v: np.abs(u + v))),
     "family_dist": (st.tuples(reals, reals, reals), lambda a, c, m: family_dist(CounterFamily(a, c, m))),
-    "find_violation": (reals, find_violation),
+    "find_violation": (values, find_violation),
     "gap_exact": (st.tuples(laws(50), values), gap_exact),
-    "gap_mc": (st.tuples(samplers, reals, counts(10**4), counts(2**70), counts(4)), gap_mc),
+    "gap_mc": (st.tuples(samplers, values, counts(10**4), counts(2**70), counts(4)), gap_mc),
     "gap_tail_integral": (laws(50), gap_tail_integral),
-    "gap_via_variance": (st.tuples(laws(50), reals), gap_via_variance),
+    "gap_via_variance": (st.tuples(laws(50), values), gap_via_variance),
     "lower_bound_chain": (
         st.tuples(reals, reals, reals), lambda a, c, m: lower_bound_chain(CounterFamily(a, c, m))
     ),
     "normal_sampler": (st.just(()), normal_sampler),
     "sample_paths": (st.tuples(params, grids(), counts(10**3), counts(2**70)), _sample),
-    "series_identity_check": (st.tuples(values, values, reals, counts(1000)), series_identity_check),
-    "signed_identity_lhs": (st.tuples(values, values, reals), signed_identity_lhs),
+    "series_identity_check": (st.tuples(values, values, values, counts(1000)), series_identity_check),
+    "signed_identity_lhs": (st.tuples(values, values, values), signed_identity_lhs),
     "supnorm_bound": (laws(50), supnorm_bound),
     "validate_params": (st.tuples(values, values), validate_params),
     "violation_exact": (
@@ -450,6 +450,3 @@ def test_library_raises_no_bare_builtin():
         "cli.py": [("render_json", "TypeError")]
     }
 
-
-def test_exit_codes_list_no_builtin_value_errors():
-    assert not BUILTINS & {cls.__name__ for cls in cli._EXIT_CODES}

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -407,15 +406,7 @@ class TestPairRoutesBoundedMemory:
         # Block temporaries stay below glibc's mmap threshold, so a 700-atom
         # law reuses the heap a 20-atom law left; a k by k table of it would
         # fault in about 960 pages (3.9 MB).  A fresh interpreter counts them.
-        # glibc gives freed heap back to the system once more than its trim
-        # threshold is free on top, and it raises that threshold to twice the
-        # largest mapped chunk the process has freed, so the count depended
-        # on what ran before, down to the length of the checkout's path.  The
-        # threshold is pinned high, so only the route's own allocations count.
-        env = dict(os.environ, MALLOC_TRIM_THRESHOLD_=str(32 << 20))
-        r = subprocess.run(
-            [sys.executable, "-c", _PAIR_FAULT_CHECK], capture_output=True, text=True, env=env
-        )
+        r = subprocess.run([sys.executable, "-c", _PAIR_FAULT_CHECK], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
         extra = json.loads(r.stdout)
         assert all(v < 400 for v in extra.values()), extra
