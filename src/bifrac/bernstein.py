@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dists import DiscreteDist, _block_buffer, _json_number, _rows, _signed_weights, expect_pair
+from .dists import DiscreteDist, _json_number, _pair_sum, _signed_weights
 from .errors import InvalidInputError, NegativeArgumentError, NonFiniteError, _count, _finite, _real
 from .inequality import GapReport, _signed_form
 
@@ -123,36 +123,34 @@ def _f_block(g: BernsteinFn, lam2: np.ndarray, work: np.ndarray) -> np.ndarray:
 
 
 def bernstein_gap_exact(d: DiscreteDist, g: BernsteinFn) -> GapReport:
-    """E F(|X+Y|) - E F(|X-Y|) >= 0: e_plus by the double sum on numpy pair
-    blocks (:func:`expect_pair`), the gap by :func:`_signed_form` on row
-    blocks of T(u, v) = F(u + v) - F(|u - v|) = 4b*u*v - sum_t omega_t *
-    exp(-t(u-v)**2) * expm1(-4tuv) >= 0 (omega_t the weight of atom t),
-    e_minus = e_plus - gap."""
-    # Each block allocates only the array it returns (see dists.PAIR_BLOCK).
-    buf = [_block_buffer(len(d)) for _ in range(4)]
+    """E F(|X+Y|) - E F(|X-Y|) >= 0: e_plus by the pair sum of the
+    p_i*p_j*F(|x_i + x_j|) (:func:`dists._pair_sum`), the gap by
+    :func:`_signed_form` on row blocks of T(u, v) = F(u + v) - F(|u - v|) =
+    4b*u*v - sum_t omega_t * exp(-t(u-v)**2) * expm1(-4tuv) >= 0 (omega_t the
+    weight of atom t), e_minus = e_plus - gap.  Each block allocates only
+    the array it returns; its other temporaries are the walk's ``work``."""
+    xs = np.array(d.values())
 
-    def f_abs_sum(u, v):
-        lam2, work = (_rows(b, 0, len(u), v.shape[1]) for b in buf[:2])
-        np.add(u, v, out=lam2)
-        return _f_block(g, np.multiply(lam2, lam2, out=lam2), work)  # |u+v|**2 is (u+v)**2
+    def f_abs_sum(lo, hi, work):
+        lam2 = np.add(xs[lo:hi, None], xs[lo:], out=work(0))
+        return _f_block(g, np.multiply(lam2, lam2, out=lam2), work(1))  # |u+v|**2 is (u+v)**2
 
-    e_plus = expect_pair(d, f_abs_sum)
+    e_plus, _ = _pair_sum(np.array(d.probs()), f_abs_sum, lambda i, j: f"F({xs[i]} + {xs[j]}) is not finite")
     keys, w = _signed_weights(d)
 
-    def table(lo, hi):
+    def table(lo, hi, work):
         u, v = keys[lo:hi, None], keys[lo:]
-        uv, d2, e, m = (_rows(b, lo, hi, len(keys)) for b in buf)
-        with np.errstate(over="ignore"):  # inf in uv, d2 gives exp 0, expm1 -1
-            np.multiply(u, v, out=uv)
-            np.subtract(u, v, out=d2)
-            d2 *= d2
-            t_uv = np.multiply(g.b, uv) if g.b else np.zeros_like(uv)
-            t_uv *= 4.0
-            for t, omega in g.mu:
-                np.exp(np.multiply(-t, d2, out=e), out=e)
-                np.expm1(np.multiply(-4.0, np.multiply(t, uv, out=m), out=m), out=m)
-                e *= omega
-                t_uv -= np.multiply(e, m, out=e)
+        uv, d2, e, m = map(work, range(4))  # inf in uv, d2 gives exp 0, expm1 -1
+        np.multiply(u, v, out=uv)
+        np.subtract(u, v, out=d2)
+        d2 *= d2
+        t_uv = np.multiply(g.b, uv) if g.b else np.zeros_like(uv)
+        t_uv *= 4.0
+        for t, omega in g.mu:
+            np.exp(np.multiply(-t, d2, out=e), out=e)
+            np.expm1(np.multiply(-4.0, np.multiply(t, uv, out=m), out=m), out=m)
+            e *= omega
+            t_uv -= np.multiply(e, m, out=e)
         return t_uv
 
     gap = _signed_form(w, table, "Bernstein gap")

@@ -2,8 +2,10 @@
 
 DiscreteDist is the exact-computation workhorse: expectations are weighted
 sums taken with ``math.fsum``, which is correctly rounded and independent of
-summation order, so every result is reproducible to the bit.  expect_pair,
-the pair primitive of the exact gap routes, sums pair tables by _pair_blocks.
+summation order, so every result is reproducible to the bit.  Every pair
+sum, expect_pair's E g(X, Y) among them, is one _pair_sum: a walk over the
+row blocks of its table's upper triangle (_row_blocks), whose evaluator
+writes its temporaries into the walk's ``work`` scratch.
 
 DiscreteDist.sampler draws through a guide table (Chen & Asau 1974;
 Devroye 1986, section III.2.4), described in its docstring, and returns the
@@ -13,6 +15,7 @@ same stream as ``Generator.choice(xs, size, p=ps)``.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import threading
@@ -35,19 +38,19 @@ __all__ = [
 
 _SUM_TOL = 1e-12
 
-# Values per block of a pair table in _pair_blocks, per chunk in _exact_sum and
-# per row block of kernel.cov_matrix: 64 KB temporaries, below glibc's mmap
-# threshold.  glibc keeps 128 KB free on top of the heap and, at its default
-# trim threshold, gives back the rest when it is freed, so a block that
-# allocated more than that would fault its pages in again.  A block therefore
-# allocates at most one new block-sized array: the rest go to buffers made
-# once per call (_block_buffer), and numpy's ufunc buffers, which hold a
-# broadcast operand such as a block's (r, 1) or (1, c) half and are as large
-# as the block by default, are set to UFUNC_BUFFER values (_block_ufuncs).
+# Values per row block of a _row_blocks walk and per chunk in _exact_sum:
+# 64 KB temporaries, below glibc's mmap threshold.  glibc keeps 128 KB free
+# on top of the heap and, at its default trim threshold, gives back the rest
+# when it is freed, so a block that allocated more than that would fault its
+# pages in again.  A block therefore allocates at most one new block-sized
+# array: the rest go to the walk's ``work`` scratch, made once per walk, and
+# numpy's ufunc buffers, which hold a broadcast operand such as a block's
+# (r, 1) or (1, c) half and are as large as the block by default, are set to
+# UFUNC_BUFFER values (_block_ufuncs).
 PAIR_BLOCK = 1 << 13
 UFUNC_BUFFER = 1 << 10
 
-# The weights of a block's own square in _pair_blocks: 0 below the diagonal,
+# The weights of a block's own square in _pair_sum: 0 below the diagonal,
 # 1 on it, 2 above.  A block has at most isqrt(PAIR_BLOCK) rows.
 _SQUARE_WEIGHTS = 2.0 - np.tri(math.isqrt(PAIR_BLOCK)) - np.tri(math.isqrt(PAIR_BLOCK), k=-1)
 
@@ -238,7 +241,7 @@ def expect(d: DiscreteDist, f: Callable[[float], float]) -> float:
 
 def expect_pair(d: DiscreteDist, g: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
     """E g(X, Y) for independent copies X, Y: the math.fsum of
-    p_i * p_j * g(x_i, x_j) over all atom pairs, by :func:`_pair_blocks`.
+    p_i * p_j * g(x_i, x_j) over all atom pairs, by :func:`_pair_sum`.
 
     ``g`` gets numpy blocks of the x_i by x_j table, ``u`` of shape (r, 1)
     and ``v`` of shape (1, c), and returns values that broadcast to (r, c);
@@ -246,18 +249,11 @@ def expect_pair(d: DiscreteDist, g: Callable[[np.ndarray, np.ndarray], np.ndarra
     first pair where g is NaN or infinite.  A g that allocates at most one
     new block-sized array keeps the blocks' pages in the heap (see PAIR_BLOCK).
     """
-    xs, ps = np.array(d.values()), np.array(d.probs())
-    buf = _block_buffer(len(xs))
-
-    def block(lo, hi):
-        # Since 0 <= p_i * p_j <= 1, a term is finite exactly when g is.
-        with np.errstate(all="ignore"):
-            gv = g(xs[lo:hi, None], xs[None, lo:])
-            t = np.multiply(ps[lo:hi, None], ps[None, lo:], out=_rows(buf, lo, hi, len(xs)))
-            return np.multiply(t, gv, out=t)
-
-    pairs = _pair_blocks(len(xs), block, lambda i, j: f"g({xs[i]}, {xs[j]}) is not finite")
-    return _exact_sum(pairs)
+    xs = np.array(d.values())
+    # Since 0 <= p_i * p_j <= 1, a term is finite exactly when g is.
+    total, _ = _pair_sum(np.array(d.probs()), lambda lo, hi, work: g(xs[lo:hi, None], xs[None, lo:]),
+                         lambda i, j: f"g({xs[i]}, {xs[j]}) is not finite")
+    return total
 
 
 @contextlib.contextmanager
@@ -272,35 +268,52 @@ def _block_ufuncs():
         np.setbufsize(old)
 
 
-def _block_buffer(k: int) -> np.ndarray:
-    """A float64 buffer that holds any block :func:`_pair_blocks` asks of a
-    k by k table, to be reused from block to block (see PAIR_BLOCK)."""
-    return np.empty(max(PAIR_BLOCK, k))
+def _row_blocks(k: int):
+    """``(lo, hi, work)`` for the row blocks of the upper triangle of a k by
+    k table: rows lo:hi, columns lo:, about PAIR_BLOCK values each.
+    ``work(i)`` is the i-th float64 scratch array of the block's shape,
+    made once per walk and reused from block to block (see PAIR_BLOCK)."""
+    bufs: list[np.ndarray] = []
 
+    def work(i: int, lo: int, hi: int) -> np.ndarray:
+        bufs.extend(np.empty(max(PAIR_BLOCK, k)) for _ in range(len(bufs), i + 1))
+        return bufs[i][: (hi - lo) * (k - lo)].reshape(hi - lo, k - lo)
 
-def _rows(buf: np.ndarray, lo: int, hi: int, k: int) -> np.ndarray:
-    """Rows lo:hi, columns lo: of a k by k table, as a view of ``buf``."""
-    return buf[: (hi - lo) * (k - lo)].reshape(hi - lo, k - lo)
-
-
-def _pair_blocks(k: int, block: Callable[[int, int], np.ndarray], bad: Callable[..., str]):
-    """Blocks whose :func:`_exact_sum` is the math.fsum of the symmetric k by k
-    table t, bit for bit, from its upper triangle: ``block(lo, hi)`` returns
-    rows lo:hi, columns lo: (about PAIR_BLOCK values) as an array that this
-    overwrites and the next call may reuse; it runs under :func:`_block_ufuncs`.
-    Raises NonFiniteError(bad(i, j)) at the first non-finite t_ij in row-major
-    order.  t_ji is t_ij, and 2*t_ij is exact and finite (callers weigh t_ij,
-    i != j, by at most 1/4): t_ii and 2*t_ij, j > i, add to t's total."""
     hi = 0
     while hi < k:
         lo, hi = hi, min(k, hi + max(1, PAIR_BLOCK // (k - hi)))
-        with _block_ufuncs():
-            t = block(lo, hi)
-            if (at := np.argwhere(~np.isfinite(t))).size:
-                raise NonFiniteError(bad(*(lo + at[0])))
-            t[:, : hi - lo] *= _SQUARE_WEIGHTS[: hi - lo, : hi - lo]
-            t[:, hi - lo :] *= 2.0
-        yield t.ravel()
+        yield lo, hi, functools.partial(work, lo=lo, hi=hi)
+
+
+def _pair_sum(a: np.ndarray, block: Callable[..., np.ndarray], bad: Callable[..., str]):
+    """``(total, scale)`` over the symmetric k by k table of terms
+    (a_i * a_j) * t_ij: their math.fsum, bit for bit, and the numpy sum of
+    their absolute values.  ``block(lo, hi, work)`` returns t on the rows
+    lo:hi, columns lo: of a :func:`_row_blocks` walk, as values that
+    broadcast to that shape and are not a ``work`` array; it runs under
+    :func:`_block_ufuncs` with numpy errors ignored.  Raises
+    NonFiniteError(bad(i, j)) at the first non-finite term in row-major
+    order.  A term below the diagonal is its mirror, and twice a term off it
+    is exact and finite (callers weigh t_ij, i != j, by at most 1/4), so
+    the block's square is weighted 0, 1, 2 and the columns right of it 2."""
+    scale = 0.0
+
+    def terms():
+        nonlocal scale
+        for lo, hi, work in _row_blocks(len(a)):
+            with _block_ufuncs(), np.errstate(all="ignore"):
+                t = block(lo, hi, work)
+                t = np.multiply(np.multiply(a[lo:hi, None], a[lo:], out=work(0)), t, out=work(0))
+                t[:, : hi - lo] *= _SQUARE_WEIGHTS[: hi - lo, : hi - lo]
+                t[:, hi - lo :] *= 2.0
+                # np.abs(t) is the block's one new array, in the memory the
+                # evaluator's block left.  A finite sum shows every term finite.
+                scale += (s := float(np.abs(t).sum()))
+                if not math.isfinite(s) and (at := np.argwhere(~np.isfinite(t))).size:
+                    raise NonFiniteError(bad(*(lo + at[0])))
+            yield t.ravel()
+
+    return _exact_sum(terms()), scale
 
 
 def _exact_sum(blocks: Iterable[np.ndarray]) -> float:

@@ -138,9 +138,9 @@ def _factor(m: CovMatrix) -> tuple[int, np.ndarray]:
             return z, np.linalg.cholesky(sub)
         except np.linalg.LinAlgError:
             continue
-    raise NotPSDError(
-        f"covariance factorization failed after jitter up to {_JITTERS[-1]:g}*scale"
-    )
+    if not sub.any():  # every rung fails on 0 (say, an underflowed block), which is PSD
+        return z, np.zeros_like(sub)
+    raise NotPSDError(f"covariance factorization failed after jitter up to {_JITTERS[-1]:g}*scale")
 
 
 def cholesky_factor(m: CovMatrix) -> np.ndarray:

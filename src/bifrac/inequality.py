@@ -14,9 +14,9 @@ independent routes.
 The tail and variance routes read the law only through w
 (dists._signed_weights), so mirrored atoms cancel before any sum.  Every
 E|X+-Y|**alpha goes through expect_pair and the variance form through
-_signed_form, which sum the upper triangles of their pair tables by
-dists._pair_blocks: one correctly rounded math.fsum.  Suffix sums of w are
-exact integer sums rounded once.
+_signed_form, each one dists._pair_sum: a walk over the row blocks of the
+upper triangle of its pair table, with one correctly rounded math.fsum.
+Suffix sums of w are exact integer sums rounded once.
 
 For alpha in (0, 2] the gap is nonnegative; the exact and variance routes
 assert this up to a floating tolerance and raise InequalityViolationError
@@ -34,16 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rng import substream
-from .dists import (
-    DiscreteDist,
-    Sampler,
-    _block_buffer,
-    _exact_sum,
-    _pair_blocks,
-    _rows,
-    _signed_weights,
-    expect_pair,
-)
+from .dists import DiscreteDist, Sampler, _pair_sum, _signed_weights, expect_pair
 from .errors import (
     InequalityViolationError,
     InsufficientSamplesError,
@@ -90,6 +81,8 @@ class GapReport:
     gap: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("e_plus", "e_minus"):  # real numbers, else InvalidInputError
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         object.__setattr__(self, "gap", self.e_plus - self.e_minus)
 
     def as_json_dict(self) -> dict:
@@ -121,24 +114,11 @@ def _check_nonneg(value: float, scale: float, what: str) -> None:
 
 
 def _signed_form(w: np.ndarray, block, what: str) -> float:
-    """w^T R w, checked >= 0, for the symmetric R of which ``block(lo, hi)``
-    returns rows lo:hi, columns lo: as a new array, which this overwrites.
-    The terms R_ij*(w_i*w_j) are summed by :func:`_pair_blocks` (one
-    math.fsum); the tolerance scale is the numpy sum of their absolute values
-    (no cancellation).  A block covers its own square
-    of the table, and its columns right of that stand for their mirror too."""
-    scale, buf = 0.0, _block_buffer(len(w))
-
-    def terms(lo, hi):
-        nonlocal scale
-        t = block(lo, hi)
-        t *= np.multiply(w[lo:hi, None], w[lo:], out=_rows(buf, lo, hi, len(w)))
-        a = np.abs(t, out=_rows(buf, lo, hi, len(w)))
-        scale += float(a.sum() + a[:, hi - lo :].sum())
-        return t
-
-    pairs = _pair_blocks(len(w), terms, lambda i, j: f"{what} term ({i}, {j}) is not finite")
-    value = _exact_sum(pairs)
+    """w^T R w, checked >= 0, for the symmetric R of which ``block(lo, hi,
+    work)`` returns rows lo:hi, columns lo: (see :func:`dists._pair_sum`),
+    which sums the terms R_ij*(w_i*w_j) (one math.fsum); the tolerance
+    scale is the numpy sum of their absolute values (no cancellation)."""
+    value, scale = _pair_sum(w, block, lambda i, j: f"{what} term ({i}, {j}) is not finite")
     _check_nonneg(value, scale, what)
     return value
 

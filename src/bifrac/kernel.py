@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import PAIR_BLOCK, _block_buffer, _block_ufuncs, _rows
+from .dists import _block_ufuncs, _row_blocks
 from .errors import (
     InvalidInputError,
     NegativeTimeError,
@@ -159,27 +159,26 @@ def cov(p: BifParams, t: float, s: float) -> float:
 def cov_matrix(p: BifParams, times) -> np.ndarray:
     """The matrix [cov(p, t_i, t_j)], equal to the scalar kernel bit for bit.
 
-    Built in row blocks of :func:`_cov_rows`, each written into its rows from
-    the diagonal rightwards and mirrored into its columns.  Raises
-    NonFiniteError if an entry leaves floating range.
+    Built by :func:`_cov_rows` on a ``dists._row_blocks`` walk, each block
+    written into its rows from the diagonal rightwards and mirrored into its
+    columns.  Raises NonFiniteError if an entry leaves floating range.
     """
     ts = np.array(_check_times(times), dtype=np.float64)
-    n = len(ts)
-    rows, step = _cov_rows(p, ts), max(1, PAIR_BLOCK // max(n, 1))
-    entries = np.empty((n, n), dtype=np.float64)
-    with _block_ufuncs():
-        for lo in range(0, n, step):
-            block = rows(lo, min(lo + step, n))
+    rows, entries = _cov_rows(p, ts), np.empty((len(ts), len(ts)), dtype=np.float64)
+    for lo, hi, work in _row_blocks(len(ts)):
+        with _block_ufuncs(), np.errstate(all="ignore"):
+            block = rows(lo, hi, work)
             if not np.isfinite(block).all():
                 raise NonFiniteError(f"cov overflowed on the grid for (H, K) = ({p.H}, {p.K})")
-            entries[lo : lo + step, lo:] = block
-            entries[lo:, lo : lo + step] = block.T
+            entries[lo:hi, lo:] = block
+            entries[lo:, lo:hi] = block.T
     return entries
 
 
 def _cov_rows(p: BifParams, ts: np.ndarray):
-    """The evaluator ``rows(lo, hi)`` of rows lo:hi, columns lo: of the kernel
-    matrix on the float64 times ``ts`` (checked by the caller), a new array.
+    """The evaluator ``rows(lo, hi, work)`` of rows lo:hi, columns lo: of the
+    kernel matrix on the float64 times ``ts`` (checked by the caller), a new
+    array, for a ``dists._row_blocks`` walk.
 
     Each t_i**(2H) is computed once.  Entries keep the operation order of
     :func:`cov` (t + s and |t - s| are exact under argument swap, so the
@@ -187,23 +186,21 @@ def _cov_rows(p: BifParams, ts: np.ndarray):
     go through ``np.float_power``, which calls libm ``pow`` as ``**`` on
     Python floats does; ``np.power`` may run a vectorized pow that differs
     in the last bit, which would break the equality.  Overflow gives inf,
-    not an error.  A block is the one new array a call allocates (see
-    ``dists.PAIR_BLOCK``).
+    not an error.  A block is the one new array a call allocates, and
+    ``work(0)`` its scratch (see ``dists.PAIR_BLOCK``).
     """
     K = p.K
     two_hk = 2.0 * p.H * K
     c = 2.0 ** (-K)
     with np.errstate(over="ignore"):
         pw = np.float_power(ts, 2.0 * p.H)
-    buf = _block_buffer(len(ts))
 
-    def rows(lo: int, hi: int) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            block = pw[lo:hi, None] + pw[lo:]
-            np.float_power(block, K, out=block)
-            gap = np.subtract(ts[lo:], ts[lo:hi, None], out=_rows(buf, lo, hi, len(ts)))
-            block -= np.float_power(np.abs(gap, out=gap), two_hk, out=gap)
-            block *= c
+    def rows(lo: int, hi: int, work) -> np.ndarray:
+        block = pw[lo:hi, None] + pw[lo:]
+        np.float_power(block, K, out=block)
+        gap = np.subtract(ts[lo:], ts[lo:hi, None], out=work(0))
+        block -= np.float_power(np.abs(gap, out=gap), two_hk, out=gap)
+        block *= c
         block[ts[lo:hi] == 0.0] = block[:, ts[lo:] == 0.0] = 0.0
         return block
 

@@ -19,6 +19,7 @@ from bifrac import (
     gap_exact,
     series_identity_check,
 )
+from bifrac.dists import _pair_sum
 from bifrac.errors import NegativeArgumentError
 
 from _support import random_bernstein, random_dist, symmetric_dist
@@ -246,11 +247,11 @@ class TestBernsteinGap:
     def test_one_pair_pass(self, monkeypatch):
         calls = []
 
-        def counted(d, g):
-            calls.append(g)
-            return expect_pair(d, g)
+        def counted(a, block, bad):
+            calls.append(block)
+            return _pair_sum(a, block, bad)
 
-        monkeypatch.setattr(bifrac.bernstein, "expect_pair", counted)
+        monkeypatch.setattr(bifrac.bernstein, "_pair_sum", counted)
         d = DiscreteDist([(-2.0, 0.2), (-1.0, 0.3), (0.0, 0.1), (1.0, 0.15), (3.0, 0.25)])
         bernstein_gap_exact(d, BernsteinFn(a=0.5, b=1.0, mu=((0.3, 2.0), (4.0, 0.5))))
         assert len(calls) == 1

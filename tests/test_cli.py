@@ -130,6 +130,16 @@ class TestSample:
         assert len(lines) == 11
         assert all(line.split(",")[0] == "0" for line in lines[1:])
 
+    def test_underflowed_covariance_writes_zero_paths(self, tmp_path):
+        # psd-check calls this grid PSD with min_eig 0: cov = t*s underflows.
+        out = tmp_path / "paths.csv"
+        r = run_cli(
+            "sample", "--H", "1", "--K", "1", "--grid", "1e-300:1e-300:4",
+            "--m", "3", "--seed", "1", "--out", str(out),
+        )
+        assert r.returncode == 0, r.stderr
+        assert out.read_text().splitlines() == ["t_0,t_1,t_2,t_3"] + ["0,0,0,0"] * 3
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ("sample", "--H", "0.3", "--K", "1.5", "--grid", "0.5:0.5:6", "--m", "5", "--seed", "99")
@@ -280,7 +290,7 @@ class TestGap:
 
     def test_negative_variance_exits_3(self, monkeypatch, capsys, dist_file):
         rows = bifrac.inequality._cov_rows
-        monkeypatch.setattr(bifrac.inequality, "_cov_rows", lambda p, ts: lambda lo, hi: -rows(p, ts)(lo, hi))
+        monkeypatch.setattr(bifrac.inequality, "_cov_rows", lambda p, ts: lambda lo, hi, work: -rows(p, ts)(lo, hi, work))
         assert main(["gap", "-d", dist_file, "--alpha", "1", "--route", "variance"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -104,6 +104,7 @@ ESCAPES = [
     ("cov_matrix", lambda: cov_matrix(P, ["a"]), InvalidInputError),
     ("gap_exact_alpha", lambda: gap_exact(D, "a"), InvalidInputError),
     ("DiscreteDist", lambda: DiscreteDist([("a", 1.0)]), InvalidInputError),
+    ("GapReport", lambda: GapReport(1.0, "a", "b", "exact"), InvalidInputError),
 ]
 
 
@@ -272,7 +273,7 @@ CALLS = {
     "CovMatrix": (st.tuples(params, grids()), lambda p, g: CovMatrix(p, g, np.eye(len(g)))),
     "DiscreteDist": (st.lists(st.tuples(values, values), max_size=50), DiscreteDist),
     "DiscreteDist.sampler": (laws(50), lambda d: d.sampler().draw(np.random.default_rng(0), 100)),
-    "GapReport": (st.tuples(reals, reals, reals), lambda a, p, m: GapReport(a, p, m, "exact")),
+    "GapReport": (st.tuples(values, values, values), lambda a, p, m: GapReport(a, p, m, "exact")),
     "PathBatch": (
         st.tuples(grids(4), st.sampled_from([(2, 1), (2, 4), (3,), (0, 2), ()]), values),
         lambda g, shape, seed: PathBatch(g, np.zeros(shape), seed),

@@ -200,6 +200,13 @@ class TestCholeskyFactor:
         with pytest.raises(NotPSDError):
             cholesky_factor(m)
 
+    def test_underflowed_matrix_factors_to_zero(self):
+        # cov = t*s underflows to 0 on this grid: the zero matrix is PSD and
+        # its factor is zero, though every rung of the ladder fails on it.
+        m = build_cov_matrix(validate_params(1.0, 1.0), TimeGrid.regular(1e-300, 1e-300, 4))
+        assert not m.entries.any()
+        assert cholesky_factor(m).tobytes() == np.zeros((4, 4)).tobytes()
+
 
 class TestSamplePaths:
     def test_deterministic(self):
@@ -210,6 +217,10 @@ class TestSamplePaths:
         assert np.array_equal(b1.paths, b2.paths)
         b3 = sample_paths(p, g, 7, seed=12)
         assert not np.array_equal(b1.paths, b3.paths)
+
+    def test_underflowed_covariance_gives_zero_paths(self):
+        b = sample_paths(validate_params(1.0, 1.0), TimeGrid.regular(1e-300, 1e-300, 4), 3, seed=1)
+        assert b.paths.tobytes() == np.zeros((3, 4)).tobytes()
 
     def test_all_zero_grid(self):
         b = sample_paths(validate_params(0.5, 1.0), TimeGrid((0.0,)), 3, seed=1)

@@ -352,11 +352,11 @@ class TestNonnegativityChecks:
         # w^T T w = -2 for w = (1, -1) and T = [[0, 1], [1, 0]]
         table = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(InequalityViolationError):
-            bifrac.inequality._signed_form(np.array([1.0, -1.0]), lambda lo, hi: table[lo:hi, lo:], "form")
+            bifrac.inequality._signed_form(np.array([1.0, -1.0]), lambda lo, hi, work: table[lo:hi, lo:], "form")
 
     def test_variance_route_raises_on_negated_kernel(self, monkeypatch):
         rows = bifrac.inequality._cov_rows
-        monkeypatch.setattr(bifrac.inequality, "_cov_rows", lambda p, ts: lambda lo, hi: -rows(p, ts)(lo, hi))
+        monkeypatch.setattr(bifrac.inequality, "_cov_rows", lambda p, ts: lambda lo, hi, work: -rows(p, ts)(lo, hi, work))
         with pytest.raises(InequalityViolationError):
             gap_via_variance(D01, 1.0)
 

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bifrac import (
     signed_identity_lhs,
     validate_params,
 )
+from bifrac import dists
 
 
 class TestValidateParams:
@@ -202,6 +204,26 @@ class TestCovMatrix:
     def test_large_grid_equals_scalar_cov_bitwise(self, grid, H, K):
         p = validate_params(H, K)
         assert cov_matrix(p, grid).tobytes() == _scalar_table(p, grid).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize(
+        "ts",
+        [
+            _UNSORTED[:8] + [0.0] + _UNSORTED[8:],
+            _UNSORTED + [0.0],
+            _UNSORTED[:8] + [0.0] + _UNSORTED[8:] + [0.0],
+            TimeGrid.regular(0.0, 0.01, 400).points,
+            (0.0, *np.logspace(-6.0, 6.0, 399).tolist()),
+        ],
+        ids=["zero_in_middle", "zero_at_end", "two_zeros", "regular_from_zero", "multiscale_with_zero"],
+    )
+    def test_row_blocks_equal_scalar_cov_bitwise(self, ts, block):
+        # The triangular walk's row blocks grow towards the last rows, so
+        # small blocks put their boundaries next to and between zero rows.
+        p = validate_params(0.35, 1.7)
+        with mock.patch.object(dists, "PAIR_BLOCK", block):
+            m = cov_matrix(p, ts)
+        assert m.tobytes() == _scalar_table(p, ts).tobytes()
 
     def test_float_power_is_python_pow(self):
         rng = np.random.default_rng(107)

@@ -7,8 +7,10 @@ each optionally with an atom at 0.  Examples are derandomized and capped so
 the suite stays fast and every run checks the same inputs.
 """
 
+import ast
 import itertools
 import math
+import pathlib
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -31,6 +33,7 @@ from bifrac import (
     gap_via_variance,
 )
 from bifrac import dists
+from bifrac.bernstein import _f_block
 from bifrac.dists import PAIR_BLOCK, _exact_sum, _signed_weights, expect_pair
 from bifrac.errors import NonFiniteError
 from bifrac.inequality import _in_range, _signed_form
@@ -338,3 +341,51 @@ def test_signed_form_walk_is_full_table_fsum(d, alpha, block):
     table = cov_matrix(p, keys) * np.outer(w, w)
     with mock.patch.object(dists, "PAIR_BLOCK", block):
         assert _signed_form(w, _cov_rows(p, keys), "form") == math.fsum(table.ravel().tolist())
+
+
+@_settings(60)
+@given(hard_laws(max_atoms=40), st.sampled_from((1, 7, 64)))
+def test_bernstein_e_plus_walk_is_full_table_fsum(d, block):
+    # e_plus is the fsum of the full p_i*p_j*F(|x_i + x_j|) table.
+    g = BernsteinFn(0.5, 1.0, ((0.3, 2.0), (4.0, 0.5)))
+    xs, ps = np.array(d.values()), np.array(d.probs())
+    lam = xs[:, None] + xs[None, :]
+    table = ps[:, None] * ps[None, :] * _f_block(g, lam * lam, np.empty_like(lam))
+    with mock.patch.object(dists, "PAIR_BLOCK", block):
+        assert bernstein_gap_exact(d, g).e_plus == math.fsum(table.ravel().tolist())
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda: expect_pair(DiscreteDist([(1.0, 0.5), (2.0, 0.5)]), lambda u, v: 1.0 / (u * v - 4.0)),
+        lambda: _signed_form(
+            np.array([0.5, -0.5]), lambda lo, hi, work: np.array([[1.0, 2.0], [2.0, np.inf]])[lo:hi, lo:], "form"
+        ),
+        lambda: cov_matrix(BifParams(1.0, 1.0), [0.0, 1e300]),
+    ],
+    ids=["expect_pair", "signed_form", "cov_matrix"],
+)
+def test_walk_error_keeps_numpy_state(walk):
+    # Row 0 of each table is finite and row 1 is not, so with one row per
+    # block the walk raises in its second block.
+    with np.errstate(over="raise", invalid="warn"), mock.patch.object(dists, "PAIR_BLOCK", 1):
+        before = np.getbufsize(), np.geterr()
+        with pytest.raises(NonFiniteError):
+            walk()
+        assert (np.getbufsize(), np.geterr()) == before
+
+
+def test_no_yield_under_numpy_state():
+    # A generator suspended in such a with leaves its numpy state to the
+    # consumer, and to the caller if it is abandoned.  The check above cannot
+    # see it where CPython closes the generator as the raising frame unwinds.
+    for path in pathlib.Path(dists.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.With) and any(
+                any(name in ast.unparse(item.context_expr) for name in ("_block_ufuncs", "errstate"))
+                for item in node.items
+            ):
+                assert not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(node)), (
+                    f"{path.name}:{node.lineno}"
+                )
