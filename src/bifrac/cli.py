@@ -12,6 +12,11 @@ series-check.  Exit codes are a stable contract for harnesses:
 
 Any other exception is a defect and propagates with its traceback.
 
+``main(argv)`` returns the exit code and leaves the garbage collector as
+it found it, so tests and host programs may call it in-process.  The
+process entry, ``bifrac.__main__.run`` (the console script and ``python
+-m bifrac``), wraps it and freezes the collector as the process exits.
+
 Every numeric field in JSON output is rendered with 17 significant digits
 (null where the value is infinite or NaN), and every seeded command is a
 deterministic function of its full argument list (``BIFRAC_SEED``
@@ -419,5 +424,7 @@ def main(argv=None) -> int:
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+if __name__ == "__main__":  # python -m bifrac.cli: the same process entry
+    from bifrac.__main__ import run
+
+    sys.exit(run())

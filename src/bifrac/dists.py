@@ -246,13 +246,21 @@ def expect_pair(d: DiscreteDist, g: Callable[[np.ndarray, np.ndarray], np.ndarra
     ``g`` gets numpy blocks of the x_i by x_j table, ``u`` of shape (r, 1)
     and ``v`` of shape (1, c), and returns values that broadcast to (r, c);
     g(u, v) must equal g(v, u) bit for bit.  Raises NonFiniteError at the
-    first pair where g is NaN or infinite.  A g that allocates at most one
-    new block-sized array keeps the blocks' pages in the heap (see PAIR_BLOCK).
+    first pair where g is NaN or infinite, and InvalidInputError at the
+    first block whose values are not real (bool, integer or float).  A g
+    that allocates at most one new block-sized array keeps the blocks'
+    pages in the heap (see PAIR_BLOCK).
     """
     xs = np.array(d.values())
+
+    def block(lo: int, hi: int, work) -> np.ndarray:
+        t = g(xs[lo:hi, None], xs[None, lo:])
+        if (dtype := np.asarray(t).dtype).kind not in "biuf":
+            raise InvalidInputError(f"g returned {dtype} values, not real ones")
+        return t
+
     # Since 0 <= p_i * p_j <= 1, a term is finite exactly when g is.
-    total, _ = _pair_sum(np.array(d.probs()), lambda lo, hi, work: g(xs[lo:hi, None], xs[None, lo:]),
-                         lambda i, j: f"g({xs[i]}, {xs[j]}) is not finite")
+    total, _ = _pair_sum(np.array(d.probs()), block, lambda i, j: f"g({xs[i]}, {xs[j]}) is not finite")
     return total
 
 

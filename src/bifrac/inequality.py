@@ -29,6 +29,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field, replace
+from threading import Lock, Thread
 from typing import NamedTuple
 
 import numpy as np
@@ -289,7 +290,10 @@ def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> Gap
     error of the per-pair difference.  Work is split into fixed-size
     chunks reduced in index order, so the estimate does not depend on
     ``workers`` (>= 1; threads are capped at the chunks and at the CPUs
-    this process may run on).
+    this process may run on).  Each thread takes the next chunk index when
+    it is done with one, so the work in flight does not grow with n.  Once
+    a chunk raises, no further chunk starts, and the exception of the
+    lowest failing chunk is raised, as with one worker.
     Raises NonFiniteError if a sum of |X+-Y|**alpha or the variance of the
     difference is not finite.
     """
@@ -304,32 +308,54 @@ def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> Gap
         raise InvalidInputError(
             f"sampler only asserts finite moments up to order {s.moment_hint}, got alpha={alpha}"
         )
-    sizes = [min(MC_CHUNK, n - start) for start in range(0, n, MC_CHUNK)]
-    threads = min(workers, len(sizes), _usable_cpus())
-    # One workspace per worker for all of its chunks, so no chunk allocates
-    # (and page-faults in) arrays that grow with its size.  No more than
-    # ``threads`` chunks run at once, and list.pop and list.append are atomic.
-    spare = [[np.empty(sizes[0]) for _ in range(3)] for _ in range(threads)]
+    chunks = -(-n // MC_CHUNK)
+    threads = min(workers, chunks, _usable_cpus())
+    done, errors = {}, {}  # by chunk index
+    todo = iter(range(chunks))
+    lock = Lock()
 
-    def run(c: int):
-        work = spare.pop()
-        try:
-            return _mc_chunk(s, alpha, seed, c, sizes[c], work)
-        finally:
-            spare.append(work)
+    def size(c: int) -> int:
+        return min(MC_CHUNK, n - c * MC_CHUNK)
+
+    def drain() -> None:
+        # Takes the next chunk index until none is left or a chunk has
+        # failed, so each worker has one chunk in flight, and every chunk
+        # below a failed one was taken before it.  One workspace per worker
+        # for all of its chunks, so no chunk allocates (and page-faults in)
+        # arrays that grow with its size.
+        nonlocal todo
+        work = [np.empty(size(0)) for _ in range(3)]
+        while True:
+            with lock:
+                c = next(todo, None)
+            if c is None:
+                return
+            try:
+                done[c] = _mc_chunk(s, alpha, seed, c, size(c), work)
+            except BaseException as exc:
+                with lock:
+                    errors[c], todo = exc, iter(())
+                return
 
     if threads > 1:
-        # Imported here: most processes never start a pool.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run, range(len(sizes))))
+        pool = [Thread(target=drain) for _ in range(threads)]
+        for t in pool:
+            t.start()
+        try:
+            for t in pool:
+                t.join()
+        finally:  # after an interrupt, the workers take no further chunk
+            with lock:
+                todo = iter(())
     else:
-        partials = list(map(run, range(len(sizes))))
+        drain()
+    if errors:
+        raise errors[min(errors)]
+    partials = [done[c] for c in range(chunks)]
     try:
         sum_p, sum_m, sum_d, within = (math.fsum(column) for column in zip(*partials))
         # Squared deviations within the chunks plus between them (Chan et al.).
-        between = math.fsum((c[2] - m * sum_d / n) ** 2 / m for c, m in zip(partials, sizes))
+        between = math.fsum((p[2] - size(c) * sum_d / n) ** 2 / size(c) for c, p in enumerate(partials))
     except (OverflowError, ValueError):  # past double range, or a sum of inf and -inf
         raise NonFiniteError("Monte Carlo sums leave double range") from None
     var = (within + between) / (n - 1)

@@ -427,8 +427,8 @@ class TestSeriesCheckCmd:
 
 class TestImportCost:
     def test_cli_import_leaves_out_thread_pool(self):
-        # concurrent.futures (and logging with it) loads only when gap_mc
-        # starts a pool.
+        # gap_mc starts plain threads: concurrent.futures (and logging with
+        # it) never loads, here or in any subcommand (below).
         code = "import sys, bifrac.cli; print('concurrent.futures' in sys.modules)"
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
@@ -484,8 +484,9 @@ class TestImportCost:
         assert {m for m in loaded if m.split(".")[0] == "bifrac"} == expected | {
             f"bifrac.{m}" for m in modules
         }
-        # The command line is parsed without argparse and what it imports.
-        assert not loaded & {"argparse", "gettext", "locale"}
+        # The command line is parsed without argparse and what it imports,
+        # and gap_mc's threads need no concurrent.futures or logging.
+        assert not loaded & {"argparse", "gettext", "locale", "concurrent.futures", "logging"}
 
 
 # Each argv with the namespace the argparse parser of earlier releases

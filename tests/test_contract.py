@@ -75,6 +75,7 @@ from bifrac import cli
 
 SRC = pathlib.Path(bifrac.__file__).parent
 D = DiscreteDist([(0.0, 0.5), (1.0, 0.5)])
+D2 = DiscreteDist([(1.0, 0.5), (2.0, 0.5)])
 P = BifParams(0.5, 1.0)
 GRID = TimeGrid((1.0, 2.0))
 
@@ -105,6 +106,10 @@ ESCAPES = [
     ("gap_exact_alpha", lambda: gap_exact(D, "a"), InvalidInputError),
     ("DiscreteDist", lambda: DiscreteDist([("a", 1.0)]), InvalidInputError),
     ("GapReport", lambda: GapReport(1.0, "a", "b", "exact"), InvalidInputError),
+    # A g whose values are not real numbers.
+    ("expect_pair_complex", lambda: expect_pair(D2, lambda u, v: (u + v) + 0j), InvalidInputError),
+    ("expect_pair_object", lambda: expect_pair(D2, lambda u, v: (u + v).astype(object)), InvalidInputError),
+    ("expect_pair_string", lambda: expect_pair(D2, lambda u, v: (u + v).astype(str)), InvalidInputError),
 ]
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from bifrac import (
     DiscreteDist,
     InequalityViolationError,
     InsufficientSamplesError,
+    InvalidInputError,
     NonFiniteError,
     OutOfDomainError,
     Sampler,
@@ -95,6 +97,25 @@ print("ok")
 
 
 # Minor page faults of gap_mc over 32 chunks minus those over 4, per sampler.
+# Times gap_mc at n = 10**30 with a sampler whose draws are one value short;
+# argv[1] is the worker count.
+_HUGE_N_CHECK = """
+import math, sys, time
+from bifrac import InvalidInputError, Sampler, gap_mc
+s = Sampler(draw=lambda rng, size: rng.standard_normal(size - 1), moment_hint=math.inf)
+t = time.perf_counter()
+try:
+    gap_mc(s, 1.0, 10**30, seed=1, workers=int(sys.argv[1]))
+except InvalidInputError:
+    print(time.perf_counter() - t)
+"""
+
+
+def _philox_key(rng) -> tuple:
+    """The Philox key of a generator, which tells its substream apart."""
+    return tuple(rng.bit_generator.state["state"]["key"].tolist())
+
+
 _FAULT_CHECK = """
 import json, math, resource, sys
 import numpy as np
@@ -615,6 +636,63 @@ class TestGapMc:
         with pytest.raises(ValueError, match="complex"):
             gap_mc(s, 1.0, 1000, seed=1)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_huge_n_fails_at_the_first_chunk(self, workers):
+        # n = 10**30 is about 1.5e25 chunks: nothing may be made per chunk
+        # before the first one runs, so its wrong-shaped draw raises at once.
+        # A fresh interpreter runs it, so a hang ends in a kill.
+        r = subprocess.run(
+            [sys.executable, "-c", _HUGE_N_CHECK, str(workers)], capture_output=True, text=True, timeout=60
+        )
+        assert r.returncode == 0, r.stderr
+        assert float(r.stdout) < 5.0
+
+    def test_many_threads_take_each_chunk_once(self, monkeypatch):
+        # 8 threads on 500 small chunks, switching as often as the
+        # interpreter allows: each chunk runs exactly once, so the report
+        # is one worker's bit for bit.
+        from bifrac import inequality
+
+        monkeypatch.setattr(inequality, "MC_CHUNK", 64)
+        monkeypatch.setattr(inequality, "_usable_cpus", lambda: 8)
+        want = gap_mc(D01.sampler(), 1.3, 500 * 64 - 5, seed=3)
+        ran = []
+
+        def chunk(s, alpha, seed, c, size, work):
+            ran.append(c)
+            return _mc_chunk(s, alpha, seed, c, size, work)
+
+        monkeypatch.setattr(inequality, "_mc_chunk", chunk)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = gap_mc(D01.sampler(), 1.3, 500 * 64 - 5, seed=3, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        assert sorted(ran) == list(range(500))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lowest_failing_chunk_raises(self, workers):
+        # Chunks 1 and up fail, chunk 1 last in time; its error is raised,
+        # as with one worker, and no chunk starts once one has failed.
+        keys = {_philox_key(substream(5, stream, c)): c for c in range(8) for stream in (0, 1)}
+        taken = []
+
+        def draw(rng, size):
+            c = keys[_philox_key(rng)]
+            taken.append(c)
+            if c == 1:
+                time.sleep(0.2)
+            if c >= 1:
+                raise InvalidInputError(f"chunk {c}")
+            return rng.standard_normal(size)
+
+        s = Sampler(draw=draw, moment_hint=math.inf)
+        with pytest.raises(InvalidInputError, match="^chunk 1$"):
+            gap_mc(s, 1.0, 8 * MC_CHUNK, seed=5, workers=workers)
+        assert set(taken) <= {0, 1, 2}
+
     def test_rejects_workers_below_one(self):
         for workers in (0, -2):
             with pytest.raises(ValueError):
@@ -644,30 +722,28 @@ class TestGapMc:
 
     @staticmethod
     def _threads_started(monkeypatch, workers, chunks):
-        # The pool is replaced by a serial stand-in that records its size,
-        # so no thread is started.
+        # The threads are replaced by a serial stand-in that records how
+        # many were made, so no thread is started.
         from bifrac import inequality
 
-        started = []
+        made = []
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+        class SerialThread:
+            def __init__(self, target):
+                made.append(self)
+                self.run = target
 
-            def __enter__(self):
-                return self
+            def start(self):
+                self.run()
 
-            def __exit__(self, *exc):
-                return False
+            def join(self):
+                pass
 
-            def map(self, fn, items):
-                return list(map(fn, items))
-
-        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(inequality, "Thread", SerialThread)
         n = chunks * inequality.MC_CHUNK
         r = gap_mc(D01.sampler(), 1.0, n, seed=9, workers=workers)
         assert r == gap_mc(D01.sampler(), 1.0, n, seed=9, workers=1)
-        return started
+        return [len(made)] if made else []
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamplesError):
