@@ -109,22 +109,13 @@ _LAZY = {
     for name in names
 }
 
-_SUBMODULES = (
-    "_rng",
-    "bernstein",
-    "cli",
-    "counterexample",
-    "dists",
-    "errors",
-    "gpsim",
-    "inequality",
-    "kernel",
-)
+# Every submodule: the four not loaded lazily, then those _LAZY names.
+_SUBMODULES = {"_rng", "cli", "dists", "errors", *_LAZY.values()}
 
 # The names bound above (not the dists and errors modules themselves), then
 # the lazy ones.
 __all__ = sorted(
-    {name for name in globals() if not name.startswith("_")} - set(_SUBMODULES) | set(_LAZY)
+    {name for name in globals() if not name.startswith("_")} - _SUBMODULES | set(_LAZY)
 )
 
 
@@ -140,4 +131,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_LAZY) | set(_SUBMODULES))
+    return sorted(set(globals()) | set(_LAZY) | _SUBMODULES)

@@ -12,11 +12,6 @@ series-check.  Exit codes are a stable contract for harnesses:
 
 Any other exception is a defect and propagates with its traceback.
 
-``main(argv)`` returns the exit code and leaves the garbage collector as
-it found it, so tests and host programs may call it in-process.  The
-process entry, ``bifrac.__main__.run`` (the console script and ``python
--m bifrac``), wraps it and freezes the collector as the process exits.
-
 Every numeric field in JSON output is rendered with 17 significant digits
 (null where the value is infinite or NaN), and every seeded command is a
 deterministic function of its full argument list (``BIFRAC_SEED``
@@ -28,14 +23,7 @@ may be cut to any prefix that names one option (``--n-terms`` as ``--n``).
 may be a negative number (``--y -1.8``).  When an option is repeated the
 last one wins.  ``bifrac -h`` lists the subcommands and ``bifrac <cmd> -h``
 lists the options of one.  A usage error prints the usage line and the
-error to stderr and exits 2.  One table, ``_COMMANDS``, declares every
-subcommand and option; it drives both the parser and the help.
-
-Each handler imports the library modules it runs, so a process loads only
-those beside errors and dists: ``gap`` adds inequality, kernel and _rng,
-``cov`` adds kernel, ``psd-check`` and ``sample`` add gpsim, kernel and
-_rng, ``bernstein-gap`` and ``series-check`` add bernstein, inequality,
-kernel and _rng, and ``counterexample`` adds counterexample alone.
+error to stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -140,6 +128,11 @@ def _params(H: float, K: float, force: bool) -> BifParams:
         return BifParams(H, K)
 
 
+# Each handler imports the library modules it runs, so a process loads only
+# those beside errors and dists: ``gap`` adds inequality, kernel and _rng,
+# ``cov`` adds kernel, ``psd-check`` and ``sample`` add gpsim, kernel and
+# _rng, ``bernstein-gap`` and ``series-check`` add bernstein, inequality,
+# kernel and _rng, and ``counterexample`` adds counterexample alone.
 def _cmd_cov(args) -> str:
     from .kernel import cov
 
@@ -214,18 +207,16 @@ def _cmd_bernstein_gap(args) -> str:
 def _cmd_series_check(args) -> str:
     from .bernstein import series_identity_check
 
-    res = series_identity_check(args.x, args.y, args.t, args.n_terms)
-    return render_json(
-        {"lhs": res.lhs, "rhs_partial": res.rhs_partial, "remainder_bound": res.remainder_bound}
-    )
+    return render_json(series_identity_check(args.x, args.y, args.t, args.n_terms)._asdict())
 
 
 # The command line, one entry per subcommand: its help line and its
-# options.  An option is (flags, type, default, help).  The type is float,
-# int or str, a tuple of the strings it accepts, or bool for a flag that
-# stores True; _REQUIRED as the default makes the option mandatory.  The
-# attribute an option sets is its long flag without the dashes, with "-"
-# read as "_".  Every subcommand also takes -h/--help.
+# options.  This one table drives both the parser and the help.  An option
+# is (flags, type, default, help).  The type is float, int or str, a tuple
+# of the strings it accepts, or bool for a flag that stores True;
+# _REQUIRED as the default makes the option mandatory.  The attribute an
+# option sets is its long flag without the dashes, with "-" read as "_".
+# Every subcommand also takes -h/--help.
 _REQUIRED = object()
 _FORCE = ("--force", bool, False, "allow (H, K) outside the domain")
 _COMMANDS = {
@@ -411,6 +402,10 @@ def parse_args(argv=None):
 
 
 def main(argv=None) -> int:
+    # Returns the exit code and leaves the garbage collector as it found
+    # it, so tests and host programs may call it in-process.  The process
+    # entry, ``bifrac.__main__.run`` (the console script and ``python -m
+    # bifrac``), wraps it and freezes the collector as the process exits.
     args = parse_args(argv)
     # Looked up at call time, so a handler patched onto the module runs.
     handler = globals()["_cmd_" + args.command.replace("-", "_")]

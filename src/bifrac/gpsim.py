@@ -3,10 +3,9 @@
 Sampling draws centered Gaussian vectors with the kernel covariance via a
 Cholesky factor.  Randomness comes from numpy's counter-based Philox bit
 generator keyed through ``SeedSequence(seed, spawn_key=(stream, chunk))``;
-normal variates use ``Generator.standard_normal``.  Paths are produced in
-fixed-size row chunks, each chunk from its own substream, so a batch is a
-deterministic function of (params, grid, m, seed) no matter how chunks are
-scheduled across workers.
+normal variates use ``Generator.standard_normal``.  Paths are drawn in
+fixed-size row chunks, in order, each chunk from its own substream, so a
+batch is a deterministic function of (params, grid, m, seed).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ __all__ = [
     "sample_paths",
 ]
 
-# Rows per sampling chunk; fixed so results do not depend on worker count.
+# Rows per sampling chunk; fixed, so a batch depends only on its arguments.
 CHUNK_ROWS = 4096
 
 _JITTERS = (0.0, 1e-12, 1e-10)

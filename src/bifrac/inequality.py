@@ -161,7 +161,7 @@ def _in_range(d: DiscreteDist, alpha: float):
         except OverflowError:
             raise NonFiniteError(f"moment {m!r} * 2**{e * alpha!r} is not finite") from None
 
-    return DiscreteDist([(math.ldexp(x, -e), p) for x, p in d.atoms]), back
+    return d.scaled(2.0**-e), back
 
 
 def gap_exact(d: DiscreteDist, alpha: float) -> GapReport:
@@ -289,11 +289,13 @@ def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> Gap
     independent substreams of ``seed``; ``stderr`` is the sample standard
     error of the per-pair difference.  Work is split into fixed-size
     chunks reduced in index order, so the estimate does not depend on
-    ``workers`` (>= 1; threads are capped at the chunks and at the CPUs
-    this process may run on).  Each thread takes the next chunk index when
-    it is done with one, so the work in flight does not grow with n.  Once
-    a chunk raises, no further chunk starts, and the exception of the
-    lowest failing chunk is raised, as with one worker.
+    ``workers`` (>= 1; threads, the calling one among them, are capped at
+    the chunks and at the CPUs this process may run on).  Each thread takes
+    the next chunk index when it is done with one, so one chunk per thread
+    is in flight; what grows with n is one four-float partial per chunk
+    (about 250 bytes), kept for the reduction.  Once a chunk raises, no
+    further chunk starts, and the exception of the lowest failing chunk is
+    raised, whatever the worker count.
     Raises NonFiniteError if a sum of |X+-Y|**alpha or the variance of the
     difference is not finite.
     """
@@ -337,18 +339,16 @@ def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> Gap
                     errors[c], todo = exc, iter(())
                 return
 
-    if threads > 1:
-        pool = [Thread(target=drain) for _ in range(threads)]
-        for t in pool:
+    helpers = [Thread(target=drain) for _ in range(threads - 1)]
+    try:
+        for t in helpers:
             t.start()
-        try:
-            for t in pool:
-                t.join()
-        finally:  # after an interrupt, the workers take no further chunk
-            with lock:
-                todo = iter(())
-    else:
-        drain()
+        drain()  # the calling thread is a worker too
+        for t in helpers:
+            t.join()
+    finally:  # after an interrupt, the helpers take no further chunk
+        with lock:
+            todo = iter(())
     if errors:
         raise errors[min(errors)]
     partials = [done[c] for c in range(chunks)]

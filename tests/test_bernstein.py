@@ -20,7 +20,7 @@ from bifrac import (
     series_identity_check,
 )
 from bifrac.dists import _pair_sum
-from bifrac.errors import NegativeArgumentError
+from bifrac.errors import InvalidInputError, NegativeArgumentError
 
 from _support import random_bernstein, random_dist, symmetric_dist
 
@@ -135,6 +135,10 @@ class TestBernsteinFn:
         with pytest.raises(ValueError):
             bernstein_from_json({"a": 0.0, "b": 0.0, "mu": [{"t": 1.0, "w": bad}]})
 
+    def test_json_rejects_mu_not_a_list(self):
+        with pytest.raises(InvalidInputError, match='^"mu" must be a list$'):
+            bernstein_from_json({"a": 0, "b": 1, "mu": {"t": 1, "w": 1}})
+
     def test_json_accepts_integers(self):
         g = bernstein_from_json({"a": 0, "b": 1, "mu": [{"t": 2, "w": 3}]})
         assert g == BernsteinFn(a=0.0, b=1.0, mu=((2.0, 3.0),))
@@ -162,6 +166,11 @@ class TestEvalG:
     def test_nan_rejected(self):
         with pytest.raises(NegativeArgumentError):
             eval_g(BernsteinFn(a=0.0, b=1.0), math.nan)
+
+    def test_sum_past_double_range_raises(self):
+        # a and b * lam are finite, their sum 2e308 is not
+        with pytest.raises(NonFiniteError):
+            eval_g(BernsteinFn(1e308, 1e308), 1.0)
 
     def test_nondecreasing(self):
         rng = np.random.default_rng(40)

@@ -582,6 +582,12 @@ class TestParseArgs:
         out = capsys.readouterr().out
         assert out.startswith("usage: bifrac")
         assert all(f"  {command} " in out for command in OPTIONS)
+        # The exit codes are listed; notes on the code behind them are not.
+        for line in ("0  success", "2  input or domain error", "3  an inequality nonnegativity",
+                     "4  numerical factorization failure", "5  violation search exhausted"):
+            assert line in out
+        for note in ("_COMMANDS", "gc.freeze", "garbage collector", "imports"):
+            assert note not in out
 
     @pytest.mark.parametrize("command", OPTIONS)
     @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])

@@ -31,7 +31,7 @@ from bifrac import (
     supnorm_bound,
 )
 from bifrac._rng import substream
-from bifrac.inequality import MC_CHUNK, _gap_mc_law, _mc_chunk
+from bifrac.inequality import MC_CHUNK, _gap_mc_law, _in_range, _mc_chunk
 
 from _support import (
     gauss_gap,
@@ -411,6 +411,18 @@ class TestOverflowBeforeWeighting:
             v = gap_via_variance(d, a)
             assert abs(v.gap - r.gap) <= 1e-12 * (r.e_plus + r.e_minus)
 
+    def test_atom_goes_subnormal(self):
+        # e = 513 takes the atom 1e-160 to 3.729170366e-315, rounded once
+        # as by math.ldexp; the moments are those of the unscaled pairs.
+        d = DiscreteDist([(1e154, 1e-10), (1e-160, 0.5), (0.0, 0.5 - 1e-10)])
+        law, _ = _in_range(d, 2.0)
+        assert law.atoms == DiscreteDist([(math.ldexp(x, -513), p) for x, p in d.atoms]).atoms
+        assert 3.729170366e-315 in law.values()
+        for route in (gap_exact, gap_via_variance):
+            r = route(d, 2.0)
+            assert (r.e_plus, r.e_minus) == (2.0000000002000002e298, 1.9999999998e298)
+            assert r.gap == 4.0000011329598125e288
+
     @pytest.mark.parametrize("route", [gap_exact, gap_via_variance])
     def test_unrepresentable_moment_raises(self, route):
         # E|X+Y|**2 is about 9.5e320, outside double range
@@ -533,6 +545,13 @@ class TestGapMc:
         with pytest.raises(NonFiniteError):
             gap_mc(d.sampler(), 1.0, MC_CHUNK + 1000, seed=1, workers=workers)
         assert math.isfinite(gap_exact(d, 1.0).gap)
+
+    def test_reduction_past_double_range_raises(self):
+        # Each chunk's sum of |X+Y|**2 is about 4.4e307; math.fsum over the
+        # 8 chunk sums leaves double range.
+        s = Sampler(draw=lambda rng, size: np.full(size, 1.3e151), moment_hint=math.inf)
+        with pytest.raises(NonFiniteError, match="^Monte Carlo sums leave double range$"):
+            gap_mc(s, 2.0, 8 * MC_CHUNK, seed=0)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_law_in_range_is_drawn_as_given(self, workers):
@@ -700,7 +719,7 @@ class TestGapMc:
 
     @pytest.mark.parametrize(
         "workers,cpus,chunks,threads",
-        [(10**6, 3, 4, [3]), (8, 16, 2, [2]), (4, 2, 4, [2]), (4, None, 4, []), (1, 8, 4, [])],
+        [(10**6, 3, 4, [2]), (8, 16, 2, [1]), (4, 2, 4, [1]), (4, None, 4, []), (1, 8, 4, [])],
     )
     def test_thread_count_clamped(self, monkeypatch, workers, cpus, chunks, threads):
         # Without an affinity call the cap is os.cpu_count().
@@ -710,7 +729,7 @@ class TestGapMc:
         monkeypatch.setattr(inequality.os, "cpu_count", lambda: cpus)
         assert self._threads_started(monkeypatch, workers, chunks) == threads
 
-    @pytest.mark.parametrize("workers,affinity,threads", [(4, {0}, []), (4, {0, 5}, [2])])
+    @pytest.mark.parametrize("workers,affinity,threads", [(4, {0}, []), (4, {0, 5}, [1])])
     def test_thread_count_follows_affinity(self, monkeypatch, workers, affinity, threads):
         # The affinity set caps the threads below os.cpu_count(), as under
         # `taskset -c 0`.

@@ -265,6 +265,11 @@ class TestSignedIdentity:
         with pytest.raises(OutOfDomainError):
             signed_identity_lhs(1.0, 1.0, 0.0)
 
+    def test_power_past_double_range_raises(self):
+        # |u + v|**2 = 4e600
+        with pytest.raises(NonFiniteError):
+            signed_identity_lhs(1e300, 1e300, 2)
+
     def test_identity_bridge(self):
         # |u+v|^a - |u-v|^a == 2^a * R_{1/2,a}(|u|,|v|) * sign(u) * sign(v)
         rng = np.random.default_rng(105)
