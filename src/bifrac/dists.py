@@ -211,7 +211,8 @@ class Sampler:
     must return ``size`` real values of shape ``(size,)``; gap_mc copies them
     into the buffers as float64 (so longdouble draws lose their extra
     precision), never writes to the returned array, and raises
-    InvalidInputError for any other shape or for complex values.
+    InvalidInputError for values that are not real numbers (bool, integer
+    or float), a ragged sequence included, and for any other shape.
     """
 
     draw: Callable[..., np.ndarray]
@@ -229,14 +230,11 @@ def normal_sampler() -> Sampler:
 
 
 def expect(d: DiscreteDist, f: Callable[[float], float]) -> float:
-    """The math.fsum of p_i * f(x_i); f is called once per atom."""
-    terms = []
-    for x, p in d.atoms:
-        fx = f(x)
-        if not math.isfinite(fx):
-            raise NonFiniteError(f"f({x}) = {fx}")
-        terms.append(p * fx)
-    return math.fsum(terms)
+    """The math.fsum of p_i * float(f(x_i)); f is called once per atom.
+    Raises InvalidInputError at the first f(x_i) that is not a real number
+    and NonFiniteError at the first that is NaN, infinite or an int past
+    double range."""
+    return math.fsum(p * _finite(f"f({x})", f(x)) for x, p in d.atoms)
 
 
 def expect_pair(d: DiscreteDist, g: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
@@ -247,21 +245,31 @@ def expect_pair(d: DiscreteDist, g: Callable[[np.ndarray, np.ndarray], np.ndarra
     and ``v`` of shape (1, c), and returns values that broadcast to (r, c);
     g(u, v) must equal g(v, u) bit for bit.  Raises NonFiniteError at the
     first pair where g is NaN or infinite, and InvalidInputError at the
-    first block whose values are not real (bool, integer or float).  A g
-    that allocates at most one new block-sized array keeps the blocks'
-    pages in the heap (see PAIR_BLOCK).
+    first block whose values are not real numbers (bool, integer or
+    float), a ragged sequence included.  A g that allocates at most one new
+    block-sized array keeps the blocks' pages in the heap (see PAIR_BLOCK).
     """
     xs = np.array(d.values())
 
     def block(lo: int, hi: int, work) -> np.ndarray:
-        t = g(xs[lo:hi, None], xs[None, lo:])
-        if (dtype := np.asarray(t).dtype).kind not in "biuf":
-            raise InvalidInputError(f"g returned {dtype} values, not real ones")
-        return t
+        return _real_values("g(u, v)", g(xs[lo:hi, None], xs[None, lo:]))
 
     # Since 0 <= p_i * p_j <= 1, a term is finite exactly when g is.
     total, _ = _pair_sum(np.array(d.probs()), block, lambda i, j: f"g({xs[i]}, {xs[j]}) is not finite")
     return total
+
+
+def _real_values(what: str, a) -> np.ndarray:
+    """``np.asarray(a)``.  Raises InvalidInputError, naming ``what``, if
+    ``a`` is a ragged sequence or its dtype is not bool, integer or float:
+    the one check on arrays that come from caller code."""
+    try:
+        arr = np.asarray(a)
+    except ValueError:
+        raise InvalidInputError(f"{what}: a ragged sequence is not an array of real numbers") from None
+    if arr.dtype.kind not in "biuf":
+        raise InvalidInputError(f"{what}: {arr.dtype} values are not real numbers")
+    return arr
 
 
 @contextlib.contextmanager

@@ -17,6 +17,7 @@ from functools import cache
 import numpy as np
 
 from ._rng import substream
+from .dists import _real_values
 from .errors import InvalidInputError, NotPSDError, NumericalFailureError, OutOfDomainError, _count, _real
 from .kernel import BifParams, TimeGrid, cov_matrix
 
@@ -59,14 +60,16 @@ class CovMatrix:
 
 @dataclass(frozen=True)
 class PathBatch:
-    """m sampled paths over a grid; rows are realizations, columns times."""
+    """m sampled paths over a grid; rows are realizations, columns times.
+    Raises InvalidInputError unless ``paths`` is an array of real numbers
+    (bool, integer or float) with one column per grid point."""
 
     grid: TimeGrid
     paths: np.ndarray
     seed: int
 
     def __post_init__(self) -> None:
-        shape = np.shape(self.paths)
+        shape = _real_values("paths", self.paths).shape
         if len(shape) != 2 or shape[1] != len(self.grid):
             raise InvalidInputError(
                 f"paths must be 2-D with one column per grid point ({len(self.grid)}), "

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rng import substream
-from .dists import DiscreteDist, Sampler, _pair_sum, _signed_weights, expect_pair
+from .dists import DiscreteDist, Sampler, _pair_sum, _real_values, _signed_weights, expect_pair
 from .errors import (
     InequalityViolationError,
     InsufficientSamplesError,
@@ -240,7 +240,7 @@ def _mc_chunk(s: Sampler, alpha: float, seed: int, chunk: int, size: int, work):
     exactly 1, and adding or subtracting 0 keeps the other lanes' bits.
 
     Overflow is not warned about here but reported by gap_mc; the errstate is
-    set in this function because pool threads do not inherit the caller's.
+    set in this function because helper threads do not inherit the caller's.
     """
     x, y, ap = (w[:size] for w in work)
     for stream, buf in enumerate((x, y)):
@@ -248,11 +248,9 @@ def _mc_chunk(s: Sampler, alpha: float, seed: int, chunk: int, size: int, work):
         if s.fills:
             s.draw(rng, size, out=buf)
         else:
-            drawn = s.draw(rng, size)
-            if np.shape(drawn) != (size,):
-                raise InvalidInputError(f"draw(rng, {size}) returned shape {np.shape(drawn)}, not ({size},)")
-            if np.iscomplexobj(drawn):
-                raise InvalidInputError(f"draw(rng, {size}) returned complex values, not real ones")
+            drawn = _real_values(f"draw(rng, {size})", s.draw(rng, size))
+            if drawn.shape != (size,):
+                raise InvalidInputError(f"draw(rng, {size}) returned shape {drawn.shape}, not ({size},)")
             np.copyto(buf, drawn)
     am, zero = y, x.view(np.bool_)[:size]  # x - y is written over y; x is not read after it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -324,15 +322,17 @@ def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> Gap
         # failed, so each worker has one chunk in flight, and every chunk
         # below a failed one was taken before it.  One workspace per worker
         # for all of its chunks, so no chunk allocates (and page-faults in)
-        # arrays that grow with its size.
+        # arrays that grow with its size; it is made with the first chunk,
+        # so a failed allocation fails that chunk.
         nonlocal todo
-        work = [np.empty(size(0)) for _ in range(3)]
+        work = None
         while True:
             with lock:
                 c = next(todo, None)
             if c is None:
                 return
             try:
+                work = work or [np.empty(size(0)) for _ in range(3)]
                 done[c] = _mc_chunk(s, alpha, seed, c, size(c), work)
             except BaseException as exc:
                 with lock:

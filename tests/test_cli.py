@@ -221,7 +221,7 @@ class TestGap:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_mc_overflow_exits_2(self, tmp_path, workers):
         # E|X+Y|**2 is about 9e320, past double range; two chunks, so
-        # workers=2 starts a pool.
+        # workers=2 starts a helper thread.
         path = tmp_path / "big.json"
         path.write_text(json.dumps(dist_to_json(DiscreteDist([(1e160, 0.5), (2e160, 0.5)]))))
         n = str(bifrac.inequality.MC_CHUNK + 1000)

@@ -86,6 +86,11 @@ def _settings(n):
 
 # -- escapes seen once, each closed where it arose ------------------------------
 
+
+def _gap_mc_of(draw):
+    return gap_mc(Sampler(draw=draw, moment_hint=math.inf), 1.0, 1000, 1)
+
+
 ESCAPES = [
     # e*alpha is inf in _in_range's rescaling.
     ("gap_exact_rescale", lambda: gap_exact(DiscreteDist([(3, 0.5), (1e300, 0.5)]), 1e308), NonFiniteError),
@@ -110,6 +115,29 @@ ESCAPES = [
     ("expect_pair_complex", lambda: expect_pair(D2, lambda u, v: (u + v) + 0j), InvalidInputError),
     ("expect_pair_object", lambda: expect_pair(D2, lambda u, v: (u + v).astype(object)), InvalidInputError),
     ("expect_pair_string", lambda: expect_pair(D2, lambda u, v: (u + v).astype(str)), InvalidInputError),
+    ("expect_pair_ragged", lambda: expect_pair(D2, lambda u, v: [[1.0], [1.0, 2.0]]), InvalidInputError),
+    # An f whose value is not a real number, or is an int past double range.
+    ("expect_complex", lambda: expect(D, lambda x: 1j), InvalidInputError),
+    ("expect_string", lambda: expect(D, lambda x: "a"), InvalidInputError),
+    ("expect_none", lambda: expect(D, lambda x: None), InvalidInputError),
+    ("expect_bigint", lambda: expect(D, lambda x: 10**400), NonFiniteError),
+    # Draws that are not real numbers, copied in by gap_mc.
+    ("gap_mc_string_draws", lambda: _gap_mc_of(lambda rng, size: ["a"] * size), InvalidInputError),
+    ("gap_mc_none_draws", lambda: _gap_mc_of(lambda rng, size: [None] * size), InvalidInputError),
+    (
+        "gap_mc_datetime_draws",
+        lambda: _gap_mc_of(lambda rng, size: np.zeros(size, "datetime64[s]")),
+        InvalidInputError,
+    ),
+    (
+        "gap_mc_ragged_draws",
+        lambda: _gap_mc_of(lambda rng, size: [[1.0]] * (size - 1) + [[1.0, 2.0]]),
+        InvalidInputError,
+    ),
+    # Paths that are not real numbers.
+    ("PathBatch_string", lambda: PathBatch(GRID, np.full((2, 2), "a"), 1), InvalidInputError),
+    ("PathBatch_complex", lambda: PathBatch(GRID, np.ones((2, 2)) + 0j, 1), InvalidInputError),
+    ("PathBatch_ragged", lambda: PathBatch(GRID, [[1.0, 2.0], [1.0]], 1), InvalidInputError),
 ]
 
 

@@ -85,6 +85,12 @@ class TestExpect:
         with pytest.raises(NonFiniteError):
             expect(d, lambda x: math.inf)
 
+    def test_float32_values_weighted_as_float64(self):
+        # p * float(f(x)), not p * np.float32(...), which numpy rounds to
+        # float32 (NEP 50): the latter sums to 0.5666666775941849.
+        d = DiscreteDist([(1, 0.3), (2, 0.7)])
+        assert expect(d, lambda x: np.float32(x / 3)) == 0.5666666835546493
+
 
 class TestExpectPair:
     def test_abs_sum(self):

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -535,11 +536,11 @@ class TestGapMc:
         [
             [(-1.5e308, 0.5), (1.6e308, 0.5)],  # x + y and x - y overflow
             [(-8e307, 0.5), (9e307, 0.5)],  # each pair is finite, a chunk's sum is not
-            [(1e303, 0.5), (1.5e303, 0.5)],  # the chunk sums are finite, their total is not
+            [(1e303, 0.5), (1.5e303, 0.5)],  # the sums are finite, their variance is not
         ],
     )
     def test_sums_past_double_range_raise(self, atoms, workers):
-        # Two chunks, so workers=2 runs them in pool threads; a RuntimeWarning
+        # Two chunks, so workers=2 runs one in a helper thread; a RuntimeWarning
         # there would surface as an error (see filterwarnings) instead.
         d = DiscreteDist(atoms)
         with pytest.raises(NonFiniteError):
@@ -711,6 +712,29 @@ class TestGapMc:
         with pytest.raises(InvalidInputError, match="^chunk 1$"):
             gap_mc(s, 1.0, 8 * MC_CHUNK, seed=5, workers=workers)
         assert set(taken) <= {0, 1, 2}
+
+    def test_helper_that_cannot_allocate_fails_the_run(self, monkeypatch):
+        # The helper's workspace allocation raises; the calling thread's
+        # first draw waits for it, so the helper takes a chunk, and the run
+        # raises that chunk's error instead of finishing on the other thread.
+        from bifrac import inequality
+
+        monkeypatch.setattr(inequality, "_usable_cpus", lambda: 2)
+        failed, empty = threading.Event(), np.empty
+
+        def helper_empty(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                failed.set()
+                raise MemoryError
+            return empty(*args, **kwargs)
+
+        def draw(rng, size):
+            failed.wait(10)
+            return rng.standard_normal(size)
+
+        monkeypatch.setattr(np, "empty", helper_empty)
+        with pytest.raises(MemoryError):
+            gap_mc(Sampler(draw=draw, moment_hint=math.inf), 1.0, 3 * MC_CHUNK, seed=1, workers=2)
 
     def test_rejects_workers_below_one(self):
         for workers in (0, -2):
