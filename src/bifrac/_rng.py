@@ -1,7 +1,7 @@
 """Deterministic substream derivation used by every randomized routine.
 
-One substream per (seed, stream, chunk) triple: Philox (counter-based)
-keyed through ``SeedSequence(entropy=seed, spawn_key=(stream, chunk))``.
+One substream per (seed, stream, chunk) triple: an SFC64 generator keyed
+through ``SeedSequence(entropy=seed, spawn_key=(stream, chunk))``.
 Estimates assembled from fixed-size chunks are therefore independent of
 how the chunks are scheduled across workers.
 """
@@ -13,4 +13,4 @@ import numpy as np
 
 def substream(seed: int, stream: int, chunk: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, chunk))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))

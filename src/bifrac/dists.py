@@ -246,13 +246,21 @@ def expect_pair(d: DiscreteDist, g: Callable[[np.ndarray, np.ndarray], np.ndarra
     g(u, v) must equal g(v, u) bit for bit.  Raises NonFiniteError at the
     first pair where g is NaN or infinite, and InvalidInputError at the
     first block whose values are not real numbers (bool, integer or
-    float), a ragged sequence included.  A g that allocates at most one new
-    block-sized array keeps the blocks' pages in the heap (see PAIR_BLOCK).
+    float), a ragged sequence included, or do not broadcast to (r, c).  A
+    g that allocates at most one new block-sized array keeps the blocks'
+    pages in the heap (see PAIR_BLOCK).
     """
     xs = np.array(d.values())
 
     def block(lo: int, hi: int, work) -> np.ndarray:
-        return _real_values("g(u, v)", g(xs[lo:hi, None], xs[None, lo:]))
+        t = _real_values("g(u, v)", g(xs[lo:hi, None], xs[None, lo:]))
+        shape = (hi - lo, len(xs) - lo)
+        try:
+            if np.broadcast_shapes(t.shape, shape) == shape:
+                return t
+        except ValueError:
+            pass
+        raise InvalidInputError(f"g(u, v): values of shape {t.shape} do not broadcast to the block's {shape}")
 
     # Since 0 <= p_i * p_j <= 1, a term is finite exactly when g is.
     total, _ = _pair_sum(np.array(d.probs()), block, lambda i, j: f"g({xs[i]}, {xs[j]}) is not finite")

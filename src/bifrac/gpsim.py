@@ -1,8 +1,8 @@
 """Covariance matrices on time grids, PSD verdicts, and Gaussian path sampling.
 
 Sampling draws centered Gaussian vectors with the kernel covariance via a
-Cholesky factor.  Randomness comes from numpy's counter-based Philox bit
-generator keyed through ``SeedSequence(seed, spawn_key=(stream, chunk))``;
+Cholesky factor.  Randomness comes from numpy's SFC64 bit generator
+keyed through ``SeedSequence(seed, spawn_key=(stream, chunk))``;
 normal variates use ``Generator.standard_normal``.  Paths are drawn in
 fixed-size row chunks, in order, each chunk from its own substream, so a
 batch is a deterministic function of (params, grid, m, seed).

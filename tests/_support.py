@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from bifrac import BernsteinFn, DiscreteDist
+from bifrac import BernsteinFn, DiscreteDist, Sampler
 
 
 def random_dist(rng, max_atoms=10, lo=-50.0, hi=50.0, min_atoms=1) -> DiscreteDist:
@@ -80,6 +80,17 @@ def gauss_gap(mu: float, sigma: float, alpha: float) -> tuple[float, float]:
         if n > 2 * z + 10 and terms[-1] <= 1e-18 * terms[0]:
             break
     return c, c * math.exp(-z) * math.fsum(terms)
+
+
+def exponential_sampler() -> Sampler:
+    """Exp(1) sampler.  For X, Y i.i.d. Exp(1), X + Y is Gamma(2, 1) and
+    X - Y is Laplace(0, 1), so E|X+Y|**alpha = Gamma(2+alpha),
+    E|X-Y|**alpha = Gamma(1+alpha) and the gap is alpha Gamma(1+alpha)."""
+    return Sampler(
+        draw=lambda rng, size, out=None: rng.standard_exponential(size, out=out),
+        moment_hint=math.inf,
+        fills=True,
+    )
 
 
 def random_domain_params(rng) -> tuple[float, float]:

@@ -116,6 +116,8 @@ ESCAPES = [
     ("expect_pair_object", lambda: expect_pair(D2, lambda u, v: (u + v).astype(object)), InvalidInputError),
     ("expect_pair_string", lambda: expect_pair(D2, lambda u, v: (u + v).astype(str)), InvalidInputError),
     ("expect_pair_ragged", lambda: expect_pair(D2, lambda u, v: [[1.0], [1.0, 2.0]]), InvalidInputError),
+    # A g whose values do not broadcast to the block.
+    ("expect_pair_shape", lambda: expect_pair(D2, lambda u, v: np.ones(5)), InvalidInputError),
     # An f whose value is not a real number, or is an int past double range.
     ("expect_complex", lambda: expect(D, lambda x: 1j), InvalidInputError),
     ("expect_string", lambda: expect(D, lambda x: "a"), InvalidInputError),

@@ -35,6 +35,7 @@ from bifrac._rng import substream
 from bifrac.inequality import MC_CHUNK, _gap_mc_law, _in_range, _mc_chunk
 
 from _support import (
+    exponential_sampler,
     gauss_gap,
     has_avx512,
     mirrored_support_dist,
@@ -112,9 +113,10 @@ except InvalidInputError:
 """
 
 
-def _philox_key(rng) -> tuple:
-    """The Philox key of a generator, which tells its substream apart."""
-    return tuple(rng.bit_generator.state["state"]["key"].tolist())
+def _stream_key(rng) -> str:
+    """The state of a generator that has drawn nothing yet, which tells its
+    substream apart whatever the bit generator."""
+    return repr(rng.bit_generator.state)
 
 
 _FAULT_CHECK = """
@@ -511,6 +513,21 @@ class TestGapMc:
                 hits += 1
         assert hits >= 95
 
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.7, 2.0])
+    def test_exponential_law_matches_closed_form(self, alpha):
+        # A continuous law: for Exp(1) the gap is alpha * Gamma(1 + alpha).
+        # Every seed lands within 5 stderr (the bench's MC_SIGMAS), and at
+        # least 16 of the 20 within 2.
+        s, exact = exponential_sampler(), alpha * math.gamma(1.0 + alpha)
+        reports = [gap_mc(s, alpha, 200_000, seed=seed) for seed in range(20)]
+        z = [abs(r.gap - exact) / r.stderr for r in reports]
+        assert max(z) <= 5.0
+        assert sum(v <= 2.0 for v in z) >= 16
+
+    def test_exponential_law_on_two_workers(self):
+        s = exponential_sampler()
+        assert gap_mc(s, 1.7, 200_000, seed=3) == gap_mc(s, 1.7, 200_000, seed=3, workers=2)
+
     def test_worker_count_invariance(self):
         s = D01.sampler()
         r1 = gap_mc(s, 1.3, 200_000, seed=46, workers=1)
@@ -696,11 +713,11 @@ class TestGapMc:
     def test_lowest_failing_chunk_raises(self, workers):
         # Chunks 1 and up fail, chunk 1 last in time; its error is raised,
         # as with one worker, and no chunk starts once one has failed.
-        keys = {_philox_key(substream(5, stream, c)): c for c in range(8) for stream in (0, 1)}
+        keys = {_stream_key(substream(5, stream, c)): c for c in range(8) for stream in (0, 1)}
         taken = []
 
         def draw(rng, size):
-            c = keys[_philox_key(rng)]
+            c = keys[_stream_key(rng)]
             taken.append(c)
             if c == 1:
                 time.sleep(0.2)
