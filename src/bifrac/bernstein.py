@@ -28,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dists import DiscreteDist, _json_number, _pair_sum, _signed_weights
-from .errors import InvalidInputError, NegativeArgumentError, NonFiniteError, _count, _finite, _real
+from .dists import DiscreteDist, _json_number, _json_pairs, _pair_sum, _signed_weights
+from .errors import InvalidInputError, NegativeArgumentError, NonFiniteError, _count, _finite, _pairs, _real
 from .inequality import GapReport, _signed_form
 
 __all__ = [
@@ -64,15 +64,12 @@ class BernsteinFn:
         a, b = _finite("a", self.a), _finite("b", self.b)
         if a < 0 or b < 0:
             raise InvalidInputError(f"a, b must be >= 0, got ({a}, {b})")
-        atoms = []
-        for t, w in self.mu:
-            t, w = _finite("measure atom location", t), _finite("measure atom weight", w)
+        atoms = sorted(_pairs("measure atom", self.mu, "location", "weight"))
+        for t, w in atoms:
             if t <= 0:
                 raise InvalidInputError(f"measure atom location must be > 0, got {t}")
             if w <= 0:
                 raise InvalidInputError(f"measure atom weight must be > 0, got {w}")
-            atoms.append((t, w))
-        atoms.sort()
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "mu", tuple(atoms))
@@ -291,12 +288,8 @@ def bernstein_from_json(obj) -> BernsteinFn:
     raw = obj.get("mu", [])
     if not isinstance(raw, list):
         raise InvalidInputError('"mu" must be a list')
-    mu = []
-    for entry in raw:
-        if not isinstance(entry, dict) or "t" not in entry or "w" not in entry:
-            raise InvalidInputError('each measure atom must be an object with "t" and "w"')
-        mu.append((_json_number(entry, "t"), _json_number(entry, "w")))
-    return BernsteinFn(a=_json_number(obj, "a"), b=_json_number(obj, "b"), mu=tuple(mu))
+    mu = _json_pairs(raw, "measure atom", "t", "w")
+    return BernsteinFn(a=_json_number(obj, "a"), b=_json_number(obj, "b"), mu=mu)
 
 
 def bernstein_to_json(g: BernsteinFn) -> dict:

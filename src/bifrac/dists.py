@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, NonFiniteError, _finite
+from .errors import InvalidInputError, NonFiniteError, _finite, _pairs
 
 __all__ = [
     "DiscreteDist",
@@ -76,8 +76,7 @@ class DiscreteDist:
 
     def __init__(self, atoms: Sequence[tuple[float, float]]):
         merged: dict[float, float] = {}
-        for x, p in atoms:
-            x, p = _finite("atom value", x), _finite("atom probability", p)
+        for x, p in _pairs("atom", atoms, "value", "probability"):
             merged[x] = merged.get(x, 0.0) + p
         if not merged:
             raise InvalidInputError("distribution needs at least one atom")
@@ -387,15 +386,20 @@ def dist_from_json(obj) -> DiscreteDist:
     raw = obj["atoms"]
     if not isinstance(raw, list) or not raw:
         raise InvalidInputError('"atoms" must be a nonempty list')
-    pairs: dict[float, float] = {}
-    for entry in raw:
-        if not isinstance(entry, dict) or "x" not in entry or "p" not in entry:
-            raise InvalidInputError('each atom must be an object with "x" and "p"')
-        x, p = _json_number(entry, "x"), _json_number(entry, "p")
-        if x in pairs:
-            raise InvalidInputError(f"duplicate atom value {x!r}")
-        pairs[x] = p
-    return DiscreteDist(list(pairs.items()))
+    pairs = _json_pairs(raw, "atom", "x", "p")
+    xs = sorted(x for x, _ in pairs)
+    if dup := [b for a, b in zip(xs, xs[1:]) if a == b]:
+        raise InvalidInputError(f"duplicate atom value {dup[0]!r}")
+    return DiscreteDist(pairs)
+
+
+def _json_pairs(raw: list, name: str, first: str, second: str) -> list[tuple[float, float]]:
+    """The ``(entry[first], entry[second])`` of the entries of ``raw`` by
+    :func:`_json_number`.  Raises InvalidInputError unless every entry is an
+    object with both keys."""
+    if not all(isinstance(e, dict) and first in e and second in e for e in raw):
+        raise InvalidInputError(f'each {name} must be an object with "{first}" and "{second}"')
+    return [(_json_number(e, first), _json_number(e, second)) for e in raw]
 
 
 def _json_number(obj: dict, key: str) -> float:

@@ -4,9 +4,9 @@ decide what an input error is.
 Every error the library raises derives from :class:`BifracError`, so callers
 can catch one base class; any other exception leaving a library call is a
 defect.  :class:`InvalidInputError` is also a ``ValueError``.  The private
-checkers :func:`_real`, :func:`_finite` and :func:`_count` are the one
-validation path for real and integer arguments.  The CLI maps subfamilies to
-stable exit codes (see ``bifrac.cli``).
+checkers :func:`_real`, :func:`_finite`, :func:`_count` and :func:`_pairs` are
+the one validation path for real and integer arguments and pairs of reals.
+The CLI maps subfamilies to stable exit codes (see ``bifrac.cli``).
 """
 
 from __future__ import annotations
@@ -106,3 +106,15 @@ def _count(name: str, value, least: int) -> int:
         got = f", got {n}" if n.bit_length() <= 64 else ""
         raise InvalidInputError(f"{name} must be >= {least}{got}")
     return n
+
+
+def _pairs(name: str, seq, first: str, second: str) -> list[tuple[float, float]]:
+    """The items of ``seq`` as (float, float) pairs, each value through
+    :func:`_finite`.  Raises InvalidInputError if ``seq`` is not iterable or
+    an item does not unpack into exactly two values."""
+    try:
+        pairs = [(a, b) for a, b in seq]
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name}s must be a sequence of ({first}, {second}) pairs") from None
+    first, second = f"{name} {first}", f"{name} {second}"
+    return [(_finite(first, a), _finite(second, b)) for a, b in pairs]

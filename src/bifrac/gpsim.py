@@ -46,11 +46,18 @@ class PsdVerdict:
 @dataclass
 class CovMatrix:
     """Symmetric matrix of kernel evaluations over a grid.  It carries no
-    PSD verdict: :func:`check_psd` returns one."""
+    PSD verdict: :func:`check_psd` returns one.  ``entries`` is kept as an
+    array of real numbers with one row and column per grid point, or
+    InvalidInputError is raised (see ``dists._real_values``)."""
 
     params: BifParams
     grid: TimeGrid
     entries: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.entries = _real_values("entries", self.entries)
+        if self.entries.shape != (n := len(self.grid), n):
+            raise InvalidInputError(f"entries must be {n} by {n}, got shape {self.entries.shape}")
 
     @property
     def scale(self) -> float:

@@ -208,7 +208,12 @@ def _cov_rows(p: BifParams, ts: np.ndarray):
 
 
 def _check_times(ts) -> tuple[float, ...]:
-    """The times ``ts`` as floats, each finite and >= 0."""
+    """The times ``ts`` as floats, each finite and >= 0.  Raises
+    InvalidInputError if ``ts`` is not iterable."""
+    try:
+        ts = iter(ts)
+    except TypeError:
+        raise InvalidInputError("times must be a sequence of numbers") from None
     ts = tuple(_finite("time", t) for t in ts)
     for t in ts:
         if t < 0:

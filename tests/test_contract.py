@@ -5,7 +5,9 @@ Any other exception is a defect.  The escapes below were each seen once,
 as a bare ValueError, TypeError, OverflowError, RecursionError or numpy
 MemoryError; the Hypothesis sweeps then drive every public callable and
 generated command lines with adversarial values (NaN, infinities, zeros,
-subnormals, +-1e308, bad counts, strings).  Work is bounded so the sweeps
+subnormals, +-1e308, bad counts, strings, sequences that are not sequences
+of numbers or of pairs).  Each count bound is also called at its least
+value, which must be accepted, and one below.  Work is bounded so the sweeps
 stay fast: Monte Carlo n <= 10**4, n_terms <= 10**3, m * n <= 10**4 paths,
 laws of at most 50 atoms.
 """
@@ -33,6 +35,7 @@ from bifrac import (
     CovMatrix,
     DiscreteDist,
     GapReport,
+    InsufficientSamplesError,
     InvalidInputError,
     NonFiniteError,
     PathBatch,
@@ -140,6 +143,17 @@ ESCAPES = [
     ("PathBatch_string", lambda: PathBatch(GRID, np.full((2, 2), "a"), 1), InvalidInputError),
     ("PathBatch_complex", lambda: PathBatch(GRID, np.ones((2, 2)) + 0j, 1), InvalidInputError),
     ("PathBatch_ragged", lambda: PathBatch(GRID, [[1.0, 2.0], [1.0]], 1), InvalidInputError),
+    # Sequences that are not sequences of pairs, or of times.
+    ("DiscreteDist_scalar_atom", lambda: DiscreteDist([1.0]), InvalidInputError),
+    ("DiscreteDist_scalar", lambda: DiscreteDist(5), InvalidInputError),
+    ("DiscreteDist_1_tuple", lambda: DiscreteDist([(1.0,)]), InvalidInputError),
+    ("BernsteinFn_scalar_atom", lambda: BernsteinFn(0.5, 1.0, [1.0]), InvalidInputError),
+    ("TimeGrid_scalar", lambda: TimeGrid(5), InvalidInputError),
+    ("cov_matrix_scalar", lambda: cov_matrix(P, 5), InvalidInputError),
+    # Entries that are not real numbers, or not one row and column per grid point.
+    ("check_psd_string", lambda: check_psd(CovMatrix(P, GRID, np.full((2, 2), "a"))), InvalidInputError),
+    ("cholesky_factor_1d", lambda: cholesky_factor(CovMatrix(P, GRID, np.ones(2))), InvalidInputError),
+    ("CovMatrix_3x3", lambda: CovMatrix(P, GRID, np.eye(3)), InvalidInputError),
 ]
 
 
@@ -147,6 +161,31 @@ ESCAPES = [
 def test_escape_is_a_bifrac_error(call, error):
     with pytest.raises(error):
         call()
+
+
+# -- each count bound: the call succeeds at it and raises just past it ------------
+
+BOUNDS = [
+    ("sample_paths_m", lambda m: sample_paths(P, GRID, m, 0), 1, InvalidInputError),
+    ("sample_paths_seed", lambda seed: sample_paths(P, GRID, 1, seed), 0, InvalidInputError),
+    ("gap_mc_n", lambda n: gap_mc(D.sampler(), 1.0, n, 0), 2, InsufficientSamplesError),
+    ("gap_mc_seed", lambda seed: gap_mc(D.sampler(), 1.0, 2, seed), 0, InvalidInputError),
+    ("gap_mc_workers", lambda workers: gap_mc(D.sampler(), 1.0, 2, 0, workers), 1, InvalidInputError),
+    ("TimeGrid.regular_count", lambda count: TimeGrid.regular(0, 1, count), 1, InvalidInputError),
+    ("series_identity_check_n_terms", lambda n: series_identity_check(1, 1, 0.5, n), 1, InvalidInputError),
+    ("elementary_gap_series_n_terms", lambda n: elementary_gap_series(D, 0.5, n), 1, InvalidInputError),
+]
+
+
+@pytest.mark.parametrize("call,least", [b[1:3] for b in BOUNDS], ids=[b[0] for b in BOUNDS])
+def test_count_at_its_bound_is_accepted(call, least):
+    call(least)
+
+
+@pytest.mark.parametrize("call,least,error", [b[1:] for b in BOUNDS], ids=[b[0] for b in BOUNDS])
+def test_count_past_its_bound_raises(call, least, error):
+    with pytest.raises(error):
+        call(least - 1)
 
 
 def test_invalid_input_is_a_value_error():
@@ -247,6 +286,20 @@ finite = st.one_of(
 positive = finite.map(abs).filter(lambda v: v > 0)
 # What a caller may hand a real argument: also strings, None and ints past double range.
 values = st.one_of(reals, st.sampled_from(["a", "1.5", "", "nan", None, 10**400, -(10**400)]))
+# What no sequence of numbers or of pairs is: a scalar or string, a 1- or
+# 3-tuple, a nested list, a dict.
+malformed = st.one_of(
+    values,
+    st.tuples(values),
+    st.tuples(values, values, values),
+    st.lists(st.lists(values, max_size=3), min_size=1, max_size=3),
+    st.dictionaries(st.sampled_from(["x", "p", 1.0]), values, max_size=2),
+)
+
+
+def sequences(item, max_size):
+    """Lists of ``item``, some with malformed items, and malformed values."""
+    return st.one_of(st.lists(st.one_of(item, item, malformed), max_size=max_size), malformed)
 
 
 def counts(hi):
@@ -278,6 +331,25 @@ def grids(draw, max_points=12):
 
 
 params = st.builds(BifParams, positive, positive)  # forced: possibly outside the domain
+
+
+@st.composite
+def cov_matrices(draw):
+    """(params, grid, entries): an identity, arrays of the wrong shape or of
+    strings, or malformed values."""
+    p, g = draw(params), draw(grids(4))
+    n = len(g)
+    shapes = st.sampled_from([(n, n), (n,), (n, n + 1), (n + 1, n + 1), (1, n, n), ()])
+    entries = st.one_of(
+        st.just(np.eye(n)),
+        shapes.map(np.ones),
+        shapes.map(lambda shape: np.full(shape, "a")),
+        st.lists(st.lists(values, max_size=n + 1), max_size=n + 1),
+        malformed,
+    )
+    return p, g, draw(entries)
+
+
 json_values = st.one_of(
     st.none(), st.booleans(), st.integers(-(10**400), 10**400), st.floats(), st.text(max_size=3),
     st.lists(st.integers(), max_size=2),
@@ -301,12 +373,11 @@ def _sample(p, grid, m, seed):
 # Public callable -> (strategy of its argument tuple, how to call it).  A
 # callable whose argument is another public type gets it built from values.
 CALLS = {
-    "BernsteinFn": (st.tuples(values, values, st.lists(st.tuples(values, values), max_size=3)),
-                    lambda a, b, mu: BernsteinFn(a, b, tuple(mu))),
+    "BernsteinFn": (st.tuples(values, values, sequences(st.tuples(values, values), 3)), BernsteinFn),
     "BifParams": (st.tuples(values, values), BifParams),
     "CounterFamily": (st.tuples(values, values, values), CounterFamily),
-    "CovMatrix": (st.tuples(params, grids()), lambda p, g: CovMatrix(p, g, np.eye(len(g)))),
-    "DiscreteDist": (st.lists(st.tuples(values, values), max_size=50), DiscreteDist),
+    "CovMatrix": (cov_matrices(), lambda p, g, e: (check_psd(m := CovMatrix(p, g, e)), cholesky_factor(m))),
+    "DiscreteDist": (st.tuples(sequences(st.tuples(values, values), 50)), DiscreteDist),
     "DiscreteDist.sampler": (laws(50), lambda d: d.sampler().draw(np.random.default_rng(0), 100)),
     "GapReport": (st.tuples(values, values, values), lambda a, p, m: GapReport(a, p, m, "exact")),
     "PathBatch": (
@@ -316,7 +387,7 @@ CALLS = {
     "PsdVerdict": (st.tuples(st.booleans(), reals), PsdVerdict),
     "Sampler": (st.tuples(st.just(None), reals), Sampler),
     "SupnormBound": (st.tuples(reals, reals, reals, reals), SupnormBound),
-    "TimeGrid": (st.lists(values, max_size=12), lambda pts: TimeGrid(tuple(pts))),
+    "TimeGrid": (st.tuples(sequences(values, 12)), TimeGrid),
     "TimeGrid.regular": (st.tuples(values, values, counts(1000)), TimeGrid.regular),
     "bernstein_from_json": (
         st.one_of(
@@ -339,7 +410,7 @@ CALLS = {
     "cholesky_factor": (st.tuples(params, grids()), lambda p, g: cholesky_factor(build_cov_matrix(p, g))),
     "closed_form_violation": (st.tuples(values, values, values), closed_form_violation),
     "cov": (st.tuples(params, values, values), cov),
-    "cov_matrix": (st.tuples(params, st.lists(values, max_size=12)), cov_matrix),
+    "cov_matrix": (st.tuples(params, sequences(values, 12)), cov_matrix),
     "dist_from_json": (
         st.one_of(
             json_values,

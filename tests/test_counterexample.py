@@ -5,12 +5,17 @@ import numpy as np
 import pytest
 
 from bifrac import (
+    BifParams,
     CounterFamily,
     DegenerateFamilyError,
     NonFiniteError,
     OutOfDomainError,
     SearchExhaustedError,
+    TimeGrid,
+    build_cov_matrix,
+    check_psd,
     closed_form_violation,
+    cov_matrix,
     family_dist,
     find_violation,
     gap_exact,
@@ -213,6 +218,17 @@ class TestFindViolation:
         monkeypatch.setattr(cx, "M_CAP", 4.0)
         with pytest.raises(SearchExhaustedError):
             find_violation(2.01)
+
+    @pytest.mark.parametrize("alpha", [2.1, 2.5, 3.0, 5.0, 10.0])
+    def test_violation_is_a_kernel_witness(self, alpha):
+        # At H = 1/2 the gap at alpha = K is 2**K * w'Rw, w_a = P(X = a) -
+        # P(X = -a) over the distinct |x| = a: w = (p, -q) on the grid (1, M).
+        # So a violation shows the kernel is not PSD at K = alpha > 2.
+        f = find_violation(alpha)
+        p, w = BifParams(0.5, alpha), np.array([f.p, -f.q])
+        form = 2.0**alpha * (w @ cov_matrix(p, (1.0, f.M)) @ w)
+        assert abs(form + violation_exact(f)) <= 1e-12 * violation_exact(f)
+        assert not check_psd(build_cov_matrix(p, TimeGrid((1.0, f.M)))).is_psd
 
     def test_large_alpha_stays_finite(self):
         f = find_violation(40.0)

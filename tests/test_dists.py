@@ -18,6 +18,7 @@ from bifrac import (
     normal_sampler,
 )
 from bifrac._rng import substream
+from bifrac.dists import _pair_sum
 from bifrac.inequality import MC_CHUNK
 
 from _support import random_dist
@@ -133,6 +134,17 @@ class TestExpectPair:
                 oracle = math.fsum(w * val for w, val in product_atoms)
                 scale = math.fsum(abs(w * val) for w, val in product_atoms)
                 assert abs(expect_pair(d, g) - oracle) <= 1e-14 * max(scale, 1.0)
+
+    def test_pair_sum_tolerance_scale(self):
+        # scale sums |a_i a_j t_ij| over the whole table, starting from 0.
+        def pair_sum(a, t):
+            return _pair_sum(np.array(a), lambda lo, hi, work: t[lo:hi, lo:], lambda i, j: "not finite")
+
+        assert pair_sum([0.5, 0.5], np.full((2, 2), -1.0)) == (-1.0, 1.0)
+        a = np.array([0.25, 0.5, 0.25])
+        t = np.array([[1.0, -2.0, 3.0], [-2.0, 5.0, -1.0], [3.0, -1.0, -4.0]])
+        terms = (a[:, None] * a * t).ravel()
+        assert pair_sum(a, t) == (math.fsum(terms), math.fsum(np.abs(terms))) == (0.6875, 2.6875)
 
 
 def _sampled_law(k: int, shape: str, seed: int) -> DiscreteDist:
