@@ -2,9 +2,9 @@
 exact verification of the moment inequality E|X-Y|^a <= E|X+Y|^a and its
 Bernstein-function generalization.
 
-``import bifrac`` loads only ``errors`` and ``dists`` (and numpy with
-them).  Every other public name, and every submodule, is imported on first
-access (PEP 562) and then cached in this namespace.
+``import bifrac`` loads numpy and no bifrac submodule.  Every public name,
+and every submodule, is imported on first access (PEP 562) and then cached in
+this namespace.
 
 numpy is loaded first, with OpenBLAS's idle timeout at 2**20 cycles unless
 numpy was already imported or the caller set ``OPENBLAS_THREAD_TIMEOUT``.
@@ -20,44 +20,21 @@ from importlib import import_module as _import_module
 # work meanwhile.  2**20 cycles keeps the threads awake across the many BLAS
 # calls of one LAPACK routine.  OpenBLAS reads the variable once, at load;
 # it is removed again so that no subprocess or host program sees it.
-if "numpy" not in sys.modules and "OPENBLAS_THREAD_TIMEOUT" not in os.environ:
+_timeout = "numpy" not in sys.modules and "OPENBLAS_THREAD_TIMEOUT" not in os.environ
+if _timeout:
     os.environ["OPENBLAS_THREAD_TIMEOUT"] = "20"
-    try:
-        # A statement, not _import_module: ``python -X importtime`` reports
-        # numpy's own line only for an import statement.
-        import numpy
-    finally:
+try:
+    # A statement, not _import_module: ``python -X importtime`` reports
+    # numpy's own line only for an import statement.
+    import numpy
+finally:
+    if _timeout:
         del os.environ["OPENBLAS_THREAD_TIMEOUT"]
-    del numpy
-del os, sys
-
-from .dists import (
-    DiscreteDist,
-    Sampler,
-    dist_from_json,
-    dist_to_json,
-    expect,
-    expect_pair,
-    normal_sampler,
-)
-from .errors import (
-    BifracError,
-    DegenerateFamilyError,
-    InequalityViolationError,
-    InsufficientSamplesError,
-    InvalidInputError,
-    NegativeArgumentError,
-    NegativeTimeError,
-    NonFiniteError,
-    NotPSDError,
-    NumericalFailureError,
-    OutOfDomainError,
-    SearchExhaustedError,
-)
+del numpy, os, sys, _timeout
 
 __version__ = "0.1.0"
 
-# Public name -> the submodule that defines it, for the names loaded lazily.
+# Public name -> the submodule that defines it.
 _LAZY = {
     name: module
     for module, names in {
@@ -78,6 +55,29 @@ _LAZY = {
             "find_violation",
             "lower_bound_chain",
             "violation_exact",
+        ),
+        "dists": (
+            "DiscreteDist",
+            "Sampler",
+            "dist_from_json",
+            "dist_to_json",
+            "expect",
+            "expect_pair",
+            "normal_sampler",
+        ),
+        "errors": (
+            "BifracError",
+            "DegenerateFamilyError",
+            "InequalityViolationError",
+            "InsufficientSamplesError",
+            "InvalidInputError",
+            "NegativeArgumentError",
+            "NegativeTimeError",
+            "NonFiniteError",
+            "NotPSDError",
+            "NumericalFailureError",
+            "OutOfDomainError",
+            "SearchExhaustedError",
         ),
         "gpsim": (
             "CovMatrix",
@@ -109,14 +109,10 @@ _LAZY = {
     for name in names
 }
 
-# Every submodule: the four not loaded lazily, then those _LAZY names.
-_SUBMODULES = {"_rng", "cli", "dists", "errors", *_LAZY.values()}
+# Every submodule: the two that define no public name, then those that do.
+_SUBMODULES = {"_rng", "cli", *_LAZY.values()}
 
-# The names bound above (not the dists and errors modules themselves), then
-# the lazy ones.
-__all__ = sorted(
-    {name for name in globals() if not name.startswith("_")} - _SUBMODULES | set(_LAZY)
-)
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name):

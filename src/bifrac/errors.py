@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping, Set
 
 
 class BifracError(Exception):
@@ -111,10 +112,15 @@ def _count(name: str, value, least: int) -> int:
 def _pairs(name: str, seq, first: str, second: str) -> list[tuple[float, float]]:
     """The items of ``seq`` as (float, float) pairs, each value through
     :func:`_finite`.  Raises InvalidInputError if ``seq`` is not iterable or
-    an item does not unpack into exactly two values."""
+    an item does not unpack into exactly two values, or is a mapping or a
+    set, which unpacks in its own order rather than as (first, second)."""
+    message = f"{name}s must be a sequence of ({first}, {second}) pairs"
     try:
-        pairs = [(a, b) for a, b in seq]
+        items = list(seq)
+        pairs = [(a, b) for a, b in items]
     except (TypeError, ValueError):
-        raise InvalidInputError(f"{name}s must be a sequence of ({first}, {second}) pairs") from None
+        raise InvalidInputError(message) from None
+    if any(isinstance(item, (Mapping, Set)) for item in items):
+        raise InvalidInputError(message)
     first, second = f"{name} {first}", f"{name} {second}"
     return [(_finite(first, a), _finite(second, b)) for a, b in pairs]

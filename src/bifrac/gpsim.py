@@ -18,7 +18,15 @@ import numpy as np
 
 from ._rng import substream
 from .dists import _real_values
-from .errors import InvalidInputError, NotPSDError, NumericalFailureError, OutOfDomainError, _count, _real
+from .errors import (
+    InvalidInputError,
+    NonFiniteError,
+    NotPSDError,
+    NumericalFailureError,
+    OutOfDomainError,
+    _count,
+    _real,
+)
 from .kernel import BifParams, TimeGrid, cov_matrix
 
 __all__ = [
@@ -48,7 +56,8 @@ class CovMatrix:
     """Symmetric matrix of kernel evaluations over a grid.  It carries no
     PSD verdict: :func:`check_psd` returns one.  ``entries`` is kept as an
     array of real numbers with one row and column per grid point, or
-    InvalidInputError is raised (see ``dists._real_values``)."""
+    InvalidInputError is raised (see ``dists._real_values``), and
+    NonFiniteError if an entry is NaN or infinite."""
 
     params: BifParams
     grid: TimeGrid
@@ -58,6 +67,8 @@ class CovMatrix:
         self.entries = _real_values("entries", self.entries)
         if self.entries.shape != (n := len(self.grid), n):
             raise InvalidInputError(f"entries must be {n} by {n}, got shape {self.entries.shape}")
+        if not np.isfinite(self.entries).all():
+            raise NonFiniteError("entries must be finite")
 
     @property
     def scale(self) -> float:

@@ -93,6 +93,39 @@ def exponential_sampler() -> Sampler:
     )
 
 
+def positive_stable_sampler(beta: float) -> Sampler:
+    """Positive beta-stable sampler, 0 < beta < 1, for the law with
+    E exp(-s X) = exp(-s**beta), drawn by Kanter's formula from
+    U ~ U(0, pi) and E ~ Exp(1):
+    X = sin(beta U) / sin(U)**(1/beta) * (sin((1-beta) U) / E)**((1-beta)/beta).
+    E|X|**alpha is finite only for alpha < beta, so ``moment_hint`` is the
+    double below beta.  Each draw is a new array (no ``fills``), which
+    gap_mc copies in."""
+
+    def draw(rng, size):
+        u = rng.uniform(0.0, math.pi, size)
+        e = rng.standard_exponential(size)
+        head = np.sin(beta * u) / np.sin(u) ** (1.0 / beta)
+        return head * (np.sin((1.0 - beta) * u) / e) ** ((1.0 - beta) / beta)
+
+    return Sampler(draw=draw, moment_hint=math.nextafter(beta, 0.0))
+
+
+def positive_stable_moments(beta: float, alpha: float) -> tuple[float, float]:
+    """``(E|X+Y|**alpha, E|X-Y|**alpha)`` for X, Y i.i.d. as drawn by
+    :func:`positive_stable_sampler` and alpha < beta.  X + Y has the law of
+    2**(1/beta) X, and X - Y is symmetric beta-stable with scale
+    (2 cos(pi beta / 2))**(1/beta); the fractional moments are Zolotarev's
+    ("One-dimensional stable distributions", 1986)."""
+    tail = math.gamma(1.0 - alpha / beta)
+    e_plus = 2.0 ** (alpha / beta) * tail / math.gamma(1.0 - alpha)
+    e_minus = (
+        (2.0 * math.cos(math.pi * beta / 2.0)) ** (alpha / beta) * 2.0**alpha * math.gamma((1.0 + alpha) / 2.0)
+        * tail / (math.sqrt(math.pi) * math.gamma(1.0 - alpha / 2.0))
+    )
+    return e_plus, e_minus
+
+
 def random_domain_params(rng) -> tuple[float, float]:
     """Uniform-ish draw from {0 < H <= 1, 0 < K <= 2, H*K <= 1}."""
     while True:

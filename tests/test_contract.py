@@ -37,7 +37,9 @@ from bifrac import (
     GapReport,
     InsufficientSamplesError,
     InvalidInputError,
+    NegativeArgumentError,
     NonFiniteError,
+    OutOfDomainError,
     PathBatch,
     PsdVerdict,
     Sampler,
@@ -150,10 +152,20 @@ ESCAPES = [
     ("BernsteinFn_scalar_atom", lambda: BernsteinFn(0.5, 1.0, [1.0]), InvalidInputError),
     ("TimeGrid_scalar", lambda: TimeGrid(5), InvalidInputError),
     ("cov_matrix_scalar", lambda: cov_matrix(P, 5), InvalidInputError),
+    # Items that are mappings or sets, which unpack in their own order.
+    ("DiscreteDist_dict_atom", lambda: DiscreteDist([{1.0: 0, 0.5: 1}, (0.5, 0.5)]), InvalidInputError),
+    ("DiscreteDist_set_atom", lambda: DiscreteDist([{0.25, 0.5}, (0.5, 0.5)]), InvalidInputError),
+    ("BernsteinFn_dict_atom", lambda: BernsteinFn(0.0, 1.0, [{2.0: "a", 1.0: "b"}]), InvalidInputError),
+    ("BernsteinFn_frozenset_atom", lambda: BernsteinFn(0.0, 1.0, [frozenset((2.0, 1.0))]), InvalidInputError),
     # Entries that are not real numbers, or not one row and column per grid point.
     ("check_psd_string", lambda: check_psd(CovMatrix(P, GRID, np.full((2, 2), "a"))), InvalidInputError),
     ("cholesky_factor_1d", lambda: cholesky_factor(CovMatrix(P, GRID, np.ones(2))), InvalidInputError),
     ("CovMatrix_3x3", lambda: CovMatrix(P, GRID, np.eye(3)), InvalidInputError),
+    # Entries that are not finite: check_psd gave a verdict, cholesky_factor NaNs.
+    ("check_psd_nan", lambda: check_psd(CovMatrix(P, GRID, [[math.nan, 0], [0, 1]])), NonFiniteError),
+    ("check_psd_inf", lambda: check_psd(CovMatrix(P, GRID, [[math.inf, 0], [0, 1]])), NonFiniteError),
+    ("cholesky_factor_nan", lambda: cholesky_factor(CovMatrix(P, GRID, [[math.nan, 0], [0, 1]])), NonFiniteError),
+    ("CovMatrix_minus_inf", lambda: CovMatrix(P, GRID, [[1, 0], [0, -math.inf]]), NonFiniteError),
 ]
 
 
@@ -186,6 +198,41 @@ def test_count_at_its_bound_is_accepted(call, least):
 def test_count_past_its_bound_raises(call, least, error):
     with pytest.raises(error):
         call(least - 1)
+
+
+# -- each real bound met by comparison: accepted at it, raised just past it ------
+# Only the sides that no other test pins.  At t = 5e-324 the series'
+# remainder bound does not hold (ROADMAP item 9), so only acceptance is checked.
+
+G = BernsteinFn(0.0, 1.0)
+ACCEPTED_AT_BOUND = [
+    ("check_psd_tol", lambda: check_psd(build_cov_matrix(P, GRID), tol=5e-324)),
+    ("elementary_gap_series_t", lambda: elementary_gap_series(D, 5e-324)),
+    ("series_identity_check_t", lambda: series_identity_check(1.0, 1.0, 5e-324, 5)),
+    ("gap_via_variance_alpha", lambda: gap_via_variance(D, 2.0)),
+    ("validate_params_H", lambda: validate_params(1.0, 1.0)),
+]
+RAISED_PAST_BOUND = [
+    ("eval_g_lam", lambda: eval_g(G, -5e-324), NegativeArgumentError),
+    ("eval_f_lam", lambda: eval_f(G, -5e-324), NegativeArgumentError),
+    ("gap_via_variance_alpha", lambda: gap_via_variance(D, math.nextafter(2.0, 3.0)), OutOfDomainError),
+    ("gap_mc_alpha", lambda: gap_mc(D.sampler(), math.nextafter(2.0, 3.0), 2, 0), OutOfDomainError),
+    ("signed_identity_lhs_alpha", lambda: signed_identity_lhs(1.0, 1.0, math.nextafter(2.0, 3.0)), OutOfDomainError),
+    ("find_violation_alpha", lambda: find_violation(math.nextafter(40.0, 41.0)), OutOfDomainError),
+    ("validate_params_H", lambda: validate_params(math.nextafter(1.0, 2.0), 0.5), OutOfDomainError),
+    ("validate_params_K", lambda: validate_params(0.25, math.nextafter(2.0, 3.0)), OutOfDomainError),
+]
+
+
+@pytest.mark.parametrize("call", [b[1] for b in ACCEPTED_AT_BOUND], ids=[b[0] for b in ACCEPTED_AT_BOUND])
+def test_real_at_its_bound_is_accepted(call):
+    call()
+
+
+@pytest.mark.parametrize("call,error", [b[1:] for b in RAISED_PAST_BOUND], ids=[b[0] for b in RAISED_PAST_BOUND])
+def test_real_past_its_bound_raises(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_invalid_input_is_a_value_error():

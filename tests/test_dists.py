@@ -50,6 +50,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DiscreteDist([])
 
+    def test_accepts_rows_of_an_array_and_lists(self):
+        # Mappings and sets are refused as atoms; other pairs are not.
+        d = DiscreteDist([(0.0, 0.5), (1.0, 0.5)])
+        assert DiscreteDist(np.array([[0.0, 0.5], [1.0, 0.5]])) == d
+        assert DiscreteDist([[0.0, 0.5], [1.0, 0.5]]) == d
+
     def test_accepts_tolerated_total_and_renormalizes(self):
         d = DiscreteDist([(0.0, 0.5 + 4e-13), (1.0, 0.5)])
         assert math.fsum(d.probs()) == 1.0

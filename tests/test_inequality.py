@@ -39,6 +39,8 @@ from _support import (
     gauss_gap,
     has_avx512,
     mirrored_support_dist,
+    positive_stable_moments,
+    positive_stable_sampler,
     random_dist,
     run_without_avx512,
     symmetric_dist,
@@ -523,6 +525,34 @@ class TestGapMc:
         z = [abs(r.gap - exact) / r.stderr for r in reports]
         assert max(z) <= 5.0
         assert sum(v <= 2.0 for v in z) >= 16
+
+    @pytest.mark.parametrize("beta,alpha", [(0.7, 0.2), (0.5, 0.1), (0.9, 0.4)])
+    def test_positive_stable_law_matches_closed_form(self, beta, alpha):
+        # A heavy-tailed continuous law, copied in by gap_mc: E|X|**beta is
+        # infinite.  With alpha < beta / 2 the difference has a finite fourth
+        # moment, so stderr is meaningful: every seed lands within 5 stderr
+        # and at least 18 of the 25 within 2 (20 or more in each of 40 runs
+        # of 25 seeds).  E|X+-Y|**alpha have finite variances, from the
+        # closed forms at 2 alpha, but heavy-tailed z: at least 45 of their
+        # 50 land within 3 standard errors (48 or more in each such run).
+        s, n = positive_stable_sampler(beta), 100_000
+        e_plus, e_minus = positive_stable_moments(beta, alpha)
+        sd_plus, sd_minus = (
+            math.sqrt((m2 - m * m) / n) for m, m2 in zip((e_plus, e_minus), positive_stable_moments(beta, 2 * alpha))
+        )
+        reports = [gap_mc(s, alpha, n, seed=seed) for seed in range(25)]
+        z = [abs(r.gap - (e_plus - e_minus)) / r.stderr for r in reports]
+        assert max(z) <= 5.0
+        assert sum(v <= 2.0 for v in z) >= 18
+        z_moments = [abs(r.e_plus - e_plus) / sd_plus for r in reports] + [
+            abs(r.e_minus - e_minus) / sd_minus for r in reports
+        ]
+        assert sum(v <= 3.0 for v in z_moments) >= 45
+
+    def test_positive_stable_law_rejects_alpha_beta(self):
+        # E|X|**beta is infinite, so moment_hint stops just below beta.
+        with pytest.raises(InvalidInputError):
+            gap_mc(positive_stable_sampler(0.7), 0.7, 100, seed=0)
 
     def test_exponential_law_on_two_workers(self):
         s = exponential_sampler()

@@ -92,16 +92,16 @@ def fresh(code: str, env=None):
     return json.loads(r.stdout)
 
 
-def test_import_loads_errors_and_dists_only():
+def test_import_loads_no_submodule():
     loaded, has_numpy = fresh(
         "import json, sys, bifrac\n"
         "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'bifrac')\n"
         "print(json.dumps([mods, 'numpy' in sys.modules]))"
     )
-    assert loaded == ["bifrac", "bifrac.dists", "bifrac.errors"]
-    # dists loads numpy.  This pins bench/run.py, which reads numpy's import
-    # time from `python -X importtime -c "import bifrac"`, until ROADMAP
-    # item 1 gives numpy its own probe.
+    assert loaded == ["bifrac"]
+    # __init__ loads numpy.  This pins bench/run.py, which reads numpy's
+    # import time from `python -X importtime -c "import bifrac"`, until
+    # ROADMAP item 1 gives numpy its own probe.
     assert has_numpy
 
 
@@ -184,6 +184,13 @@ class TestOpenblasTimeout:
             env=env_with_timeout("28"),
         )
         assert writes == [] and value == "28"
+
+    def test_caller_value_still_loads_numpy(self):
+        # numpy is loaded whether or not bifrac sets the timeout for it.
+        assert fresh(
+            "import json, sys, bifrac; print(json.dumps('numpy' in sys.modules))",
+            env=env_with_timeout("28"),
+        )
 
     def test_numpy_imported_first_is_left_alone(self):
         writes, present = fresh(
