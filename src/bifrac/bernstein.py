@@ -88,23 +88,32 @@ class IdentityCheck(NamedTuple):
 
 
 def eval_g(g: BernsteinFn, lam: float) -> float:
-    """G(lam) for lam >= 0; nondecreasing, G(0) = a."""
+    """G(lam) for lam >= 0; nondecreasing, G(0) = a.  Raises
+    NonFiniteError when G(lam) leaves double range at a finite lam, or
+    a + sum(w) does at lam = inf with b = 0."""
     lam = _real("lam", lam)
     if not lam >= 0:
         raise NegativeArgumentError(f"lam must be >= 0, got {lam}")
     linear = [g.b * lam] if g.b else []  # 0 * inf is NaN
     try:
-        return math.fsum([g.a] + linear + [w * (1.0 - math.exp(-t * lam)) for t, w in g.mu])
+        value = math.fsum([g.a] + linear + [w * (1.0 - math.exp(-t * lam)) for t, w in g.mu])
     except OverflowError:  # the sum, not a term, left double range
         raise NonFiniteError(f"G({lam!r}) leaves double range") from None
+    if math.isinf(value) and math.isfinite(lam):  # the term b*lam did; G(inf) is inf for b > 0
+        raise NonFiniteError(f"G({lam!r}) leaves double range")
+    return value
 
 
 def eval_f(g: BernsteinFn, lam: float) -> float:
-    """F(lam) = G(lam**2) for lam >= 0."""
+    """F(lam) = G(lam**2) for lam >= 0.  Raises NonFiniteError when F(lam)
+    leaves double range at a finite lam."""
     lam = _real("lam", lam)
     if not lam >= 0:
         raise NegativeArgumentError(f"lam must be >= 0, got {lam}")
-    return eval_g(g, lam * lam)
+    value = eval_g(g, lam * lam)
+    if math.isinf(value) and math.isfinite(lam):  # lam * lam overflowed, and b > 0
+        raise NonFiniteError(f"F({lam!r}) leaves double range")
+    return value
 
 
 def _f_block(g: BernsteinFn, lam2: np.ndarray, work: np.ndarray) -> np.ndarray:

@@ -50,10 +50,6 @@ _SUM_TOL = 1e-12
 PAIR_BLOCK = 1 << 13
 UFUNC_BUFFER = 1 << 10
 
-# The weights of a block's own square in _pair_sum: 0 below the diagonal,
-# 1 on it, 2 above.  A block has at most isqrt(PAIR_BLOCK) rows.
-_SQUARE_WEIGHTS = 2.0 - np.tri(math.isqrt(PAIR_BLOCK)) - np.tri(math.isqrt(PAIR_BLOCK), k=-1)
-
 # Largest bucket count of the guide table in DiscreteDist.sampler (8 MB of
 # float64 values and 8 MB of bucket starts), so its memory stops growing
 # with k past 2**15 atoms.
@@ -316,9 +312,10 @@ def _pair_sum(a: np.ndarray, block: Callable[..., np.ndarray], bad: Callable[...
     broadcast to that shape and are not a ``work`` array; it runs under
     :func:`_block_ufuncs` with numpy errors ignored.  Raises
     NonFiniteError(bad(i, j)) at the first non-finite term in row-major
-    order.  A term below the diagonal is its mirror, and twice a term off it
-    is exact and finite (callers weigh t_ij, i != j, by at most 1/4), so
-    the block's square is weighted 0, 1, 2 and the columns right of it 2."""
+    order.  The block's own square is summed as it is.  The columns right of
+    it are doubled, as they also stand for their mirror images below the
+    block; only they rely on the table's symmetry, and twice such a term is
+    exact and finite (callers weigh t_ij, i != j, by at most 1/4)."""
     scale = 0.0
 
     def terms():
@@ -327,7 +324,6 @@ def _pair_sum(a: np.ndarray, block: Callable[..., np.ndarray], bad: Callable[...
             with _block_ufuncs(), np.errstate(all="ignore"):
                 t = block(lo, hi, work)
                 t = np.multiply(np.multiply(a[lo:hi, None], a[lo:], out=work(0)), t, out=work(0))
-                t[:, : hi - lo] *= _SQUARE_WEIGHTS[: hi - lo, : hi - lo]
                 t[:, hi - lo :] *= 2.0
                 # np.abs(t) is the block's one new array, in the memory the
                 # evaluator's block left.  A finite sum shows every term finite.

@@ -388,12 +388,16 @@ def supnorm_bound(d: DiscreteDist) -> SupnormBound:
     """Endpoint form of the gap inequality: the essential sup of |X-Y| is
     m_hi - m_lo, that of |X+Y| is 2*max(|m_hi|, |m_lo|), and the first
     never exceeds the second (equality iff the support endpoints mirror).
+    Raises NonFiniteError when 2*max|x| leaves double range; when it does
+    not, m_hi - m_lo, which is at most 2*max|x|, does not either.
     """
     xs = d.values()
     m_lo = xs[0]
     m_hi = xs[-1]
     lhs = m_hi - m_lo
     rhs = 2.0 * max(abs(m_hi), abs(m_lo))
+    if math.isinf(rhs):
+        raise NonFiniteError(f"sup-norm bound: 2*max|x| leaves double range on [{m_lo!r}, {m_hi!r}]")
     if lhs > rhs:
         raise InequalityViolationError(f"sup-norm bound failed: {lhs!r} > {rhs!r}")
     return SupnormBound(m_lo=m_lo, m_hi=m_hi, lhs=lhs, rhs=rhs)

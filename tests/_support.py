@@ -144,6 +144,12 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=_reject_constant)
 
 
+def golden_input(name: str):
+    """The parsed golden input file ``golden/<name>.json``."""
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", f"{name}.json")) as fh:
+        return json.load(fh)
+
+
 # numpy CPU features whose kernels a check turns off, so that numpy's SIMD
 # loops take their AVX2 or baseline paths.
 AVX512_FEATURES = "X86_V4 AVX512_ICL AVX512_SPR"

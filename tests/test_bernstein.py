@@ -16,13 +16,15 @@ from bifrac import (
     eval_f,
     eval_g,
     expect_pair,
+    dist_from_json,
     gap_exact,
+    gap_via_variance,
     series_identity_check,
 )
-from bifrac.dists import _pair_sum
+from bifrac.dists import _pair_sum, _signed_weights
 from bifrac.errors import InvalidInputError, NegativeArgumentError
 
-from _support import random_bernstein, random_dist, symmetric_dist
+from _support import golden_input, random_bernstein, random_dist, symmetric_dist
 
 D01 = DiscreteDist([(0.0, 0.5), (1.0, 0.5)])
 
@@ -172,6 +174,13 @@ class TestEvalG:
         with pytest.raises(NonFiniteError):
             eval_g(BernsteinFn(1e308, 1e308), 1.0)
 
+    def test_linear_term_past_double_range_raises(self):
+        # b * lam = 1e310 at a finite lam; at lam = inf, G is inf
+        g = BernsteinFn(0.0, 1e300)
+        with pytest.raises(NonFiniteError):
+            eval_g(g, 1e10)
+        assert eval_g(g, math.inf) == math.inf
+
     def test_nondecreasing(self):
         rng = np.random.default_rng(40)
         for _ in range(50):
@@ -204,6 +213,13 @@ class TestEvalF:
     def test_nan_rejected(self):
         with pytest.raises(NegativeArgumentError):
             eval_f(BernsteinFn(a=0.0, b=1.0), math.nan)
+
+    def test_square_past_double_range_raises(self):
+        # lam**2 overflows at a finite lam with b > 0; at lam = inf, F is inf
+        g = BernsteinFn(0.0, 1.0)
+        with pytest.raises(NonFiniteError):
+            eval_f(g, 1e200)
+        assert eval_f(g, math.inf) == math.inf
 
     def test_no_linear_term_at_overflowing_lam(self):
         # lam**2 overflows; with b = 0 there is no 0 * inf, so F = a + w
@@ -590,3 +606,56 @@ class TestPowerFunctionsStillCovered:
             a = float(rng.uniform(0.01, 0.99))
             r = gap_exact(d, a)
             assert r.gap >= -1e-10 * (r.e_plus + r.e_minus)
+
+
+def power_as_bernstein(beta, h=0.25):
+    """G_h: lam**beta = c * int_0^inf (1 - e**(-t lam)) t**(-1-beta) dt, with
+    c = beta/Gamma(1-beta), by the trapezoid rule in s = log t with step h
+    from s_lo = max(-40/(1-beta), -300) to about 40/beta, half weights at both
+    ends.  The part below t_lo = e**s_lo, at most lam*c*t_lo**(1-beta)/(1-beta)
+    as 1 - e**(-x) <= x, goes into b; a = 0."""
+    c = beta / math.gamma(1.0 - beta)
+    s_lo = max(-40.0 / (1.0 - beta), -300.0)
+    s = s_lo + h * np.arange(int((40.0 / beta - s_lo) / h) + 1)
+    w = h * c * np.exp(-beta * s)
+    w[[0, -1]] *= 0.5
+    b = c * math.exp(s_lo * (1.0 - beta)) / (1.0 - beta)
+    return BernsteinFn(0.0, b, tuple(zip(np.exp(s).tolist(), w.tolist())))
+
+
+def g_values(g, lam):
+    """G(lam) on an array, each measure term as -w*expm1(-t*lam)."""
+    out = g.b * lam
+    for t, w in g.mu:
+        out -= w * np.expm1(-t * lam)
+    return out
+
+
+class TestAlphaMomentAsBernstein:
+    # |x|**alpha is F(x) = G(x**2) with G(lam) = lam**beta, beta = alpha/2, so
+    # the Bernstein route on G_h gives the alpha-moment gap up to G_h's error
+    # dG = G_h - lam**beta.  The gap is sum_ab w_a w_b (F(a+b) - F(|a-b|)) over
+    # the distinct |x| (module docstring of bifrac.bernstein), so the routes
+    # differ by at most sum_ab |w_a w_b| |dG((a+b)**2) - dG((a-b)**2)|, which
+    # is at most sum_ij p_i p_j (|dG((x_i+x_j)**2)| + |dG((x_i-x_j)**2)|).
+    # Rounding may add 1e-13 of the sum with F(a+b) - F(|a-b|) >= 0 in place
+    # of the dG difference: the gap if w had no cancellation.
+    LAWS = [
+        *(random_dist(np.random.default_rng(71 + i), max_atoms=20, lo=-3.0, hi=3.0, min_atoms=2) for i in range(25)),
+        DiscreteDist([(-2.0, 0.2), (-1.0, 0.3), (0.0, 0.1), (1.0, 0.15), (3.0, 0.25)]),
+        dist_from_json(golden_input("nearsym")),
+        dist_from_json(golden_input("multiscale")),
+    ]
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.6, 1.0, 1.5, 1.9])
+    def test_gap_is_the_alpha_route_gap(self, alpha):
+        beta = alpha / 2
+        g = power_as_bernstein(beta)
+        for d in self.LAWS:
+            keys, w = _signed_weights(d)
+            plus, minus = np.add.outer(keys, keys) ** 2, np.subtract.outer(keys, keys) ** 2
+            dg = (g_values(g, plus) - plus**beta) - (g_values(g, minus) - minus**beta)
+            ww = np.abs(np.outer(w, w))
+            bound = np.sum(ww * np.abs(dg)) + 1e-13 * np.sum(ww * (plus**beta - minus**beta))
+            err = bernstein_gap_exact(d, g).gap - gap_via_variance(d, alpha).gap
+            assert abs(err) <= bound, d

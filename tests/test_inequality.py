@@ -924,6 +924,14 @@ class TestSupnormBound:
         b = supnorm_bound(DiscreteDist([(-5.0, 0.5), (5.0, 0.5)]))
         assert b.lhs == b.rhs == 10.0
 
+    def test_bound_past_double_range_raises(self):
+        # 2 * 1.7e308 overflows: inf = inf would claim an equality that does
+        # not hold, as the endpoints do not mirror.
+        with pytest.raises(NonFiniteError):
+            supnorm_bound(DiscreteDist([(-1e308, 0.5), (1.7e308, 0.5)]))
+        b = supnorm_bound(DiscreteDist([(-8e307, 0.5), (8.9e307, 0.5)]))
+        assert (b.lhs, b.rhs) == (8e307 + 8.9e307, 1.78e308)
+
     def test_property_sweep(self):
         rng = np.random.default_rng(37)
         for _ in range(100):

@@ -24,9 +24,11 @@ from bifrac import (
     BernsteinFn,
     BifParams,
     DiscreteDist,
+    bernstein_from_json,
     bernstein_gap_exact,
     cov,
     cov_matrix,
+    dist_from_json,
     elementary_gap_series,
     gap_exact,
     gap_tail_integral,
@@ -38,6 +40,8 @@ from bifrac.dists import PAIR_BLOCK, _exact_sum, _signed_weights, expect_pair
 from bifrac.errors import NonFiniteError
 from bifrac.inequality import _in_range, _signed_form
 from bifrac.kernel import _cov_rows
+
+from _support import golden_input
 
 REL_TOL = 1e-12
 
@@ -329,6 +333,27 @@ def _uniform(k):
 @pytest.mark.parametrize("block", [1, 7, PAIR_BLOCK])
 def test_pair_walk_edge_cases(d, g, block):
     assert _walk_outcome(d, g, block) == _table_outcome(d, g)
+
+
+@pytest.mark.parametrize(
+    "d, g",
+    [
+        (_uniform(300), BernsteinFn(0.5, 1.0, ((0.3, 2.0), (4.0, 0.5)))),
+        (dist_from_json(golden_input("nearsym")), bernstein_from_json(golden_input("nearsym_g"))),
+    ],
+    ids=["uniform300", "nearsym"],
+)
+def test_pair_walk_takes_any_block_size(d, g):
+    # With 2**16 values a block, a 300-atom walk's first block has 218 rows
+    # and the 120-atom walk one block of 120: squares larger than any block
+    # of the default size holds.  The sums keep their bits.
+    def routes():
+        return [repr(r) for r in (gap_exact(d, 0.7), gap_via_variance(d, 0.7), bernstein_gap_exact(d, g))]
+
+    default = routes()
+    assert _walk_outcome(d, np.maximum, 1 << 16) == _table_outcome(d, np.maximum)
+    with mock.patch.object(dists, "PAIR_BLOCK", 1 << 16):
+        assert routes() == default
 
 
 @_settings(60)
