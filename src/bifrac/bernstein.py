@@ -4,8 +4,10 @@ A Bernstein function here is
 
     G(lam) = a + b*lam + sum_i w_i * (1 - exp(-t_i * lam)),   a, b >= 0,
 
-with a finite atomic measure (t_i > 0, w_i > 0).  The induced F(lam) =
-G(lam**2) satisfies E F(|X-Y|) <= E F(|X+Y|) for i.i.d. X, Y.  The gap
+with a finite atomic measure (t_i > 0, w_i > 0), each measure term formed
+as -w_i * expm1(-t_i * lam), which keeps its digits when t_i * lam is small
+and w_i large.  The induced F(lam) = G(lam**2) satisfies
+E F(|X-Y|) <= E F(|X+Y|) for i.i.d. X, Y.  The gap
 decomposes over the representation: the constant contributes nothing, the
 linear part contributes b times the alpha = 2 moment gap, and each measure
 atom contributes the elementary gap
@@ -96,7 +98,7 @@ def eval_g(g: BernsteinFn, lam: float) -> float:
         raise NegativeArgumentError(f"lam must be >= 0, got {lam}")
     linear = [g.b * lam] if g.b else []  # 0 * inf is NaN
     try:
-        value = math.fsum([g.a] + linear + [w * (1.0 - math.exp(-t * lam)) for t, w in g.mu])
+        value = math.fsum([g.a] + linear + [-w * math.expm1(-t * lam) for t, w in g.mu])
     except OverflowError:  # the sum, not a term, left double range
         raise NonFiniteError(f"G({lam!r}) leaves double range") from None
     if math.isinf(value) and math.isfinite(lam):  # the term b*lam did; G(inf) is inf for b > 0
@@ -123,8 +125,8 @@ def _f_block(g: BernsteinFn, lam2: np.ndarray, work: np.ndarray) -> np.ndarray:
     # 0 * inf is NaN
     f = np.add(g.a, np.multiply(g.b, lam2, out=work)) if g.b else np.full_like(lam2, g.a)
     for t, w in g.mu:
-        e = np.exp(np.multiply(-t, lam2, out=work), out=work)
-        f += np.multiply(w, np.subtract(1.0, e, out=e), out=e)
+        e = np.expm1(np.multiply(-t, lam2, out=work), out=work)
+        f -= np.multiply(w, e, out=e)
     return f
 
 
@@ -235,12 +237,15 @@ def series_identity_check(x: float, y: float, t: float, n_terms: int) -> Identit
         exp(-t|x-y|**2) - exp(-t|x+y|**2)
             = 2*exp(-t x**2 - t y**2) * sum_n (2 t x y)**(2n+1) / (2n+1)!.
 
-    Each summand is evaluated with its exp(-t x**2 - t y**2) prefactor
-    folded in via logarithms, so the summands themselves never overflow.
-    All summands share the sign of x*y, so the remainder bound is the first
-    omitted summand summed geometrically (infinite when the term ratio is
-    still >= 1 at the cutoff).  Raises NonFiniteError for non-finite x or
-    y, and when (x +- y)**2 or 2*t*x*y is not finite; raises
+    The lhs is formed as sgn(xy) * -exp(-t(|x|-|y|)**2) * expm1(-4t|xy|),
+    the factorisation of :func:`bernstein_gap_exact`'s table, so it keeps
+    its digits when the two exponentials are close.  Each summand is
+    evaluated with its exp(-t x**2 - t y**2) prefactor folded in via
+    logarithms, so the summands themselves never overflow.  All summands
+    share the sign of x*y, so the remainder bound is the first omitted
+    summand summed geometrically (infinite when the term ratio is still
+    >= 1 at the cutoff).  Raises NonFiniteError for non-finite x or y, and
+    when (|x| - |y|)**2 or 2*t*x*y is not finite; raises
     InvalidInputError when the walk would start past term 2**53,
     min(|w|/2, n_terms - 1).
     """
@@ -248,10 +253,12 @@ def series_identity_check(x: float, y: float, t: float, n_terms: int) -> Identit
     if not t > 0:
         raise InvalidInputError(f"t must be > 0, got {t}")
     n_terms = _count("n_terms", n_terms, 1)
-    try:
-        lhs = math.exp(-t * (x - y) ** 2) - math.exp(-t * (x + y) ** 2)
+    try:  # expm1(-0.0) is -0.0, so lhs is 0.0 at xy = 0
+        lhs = -math.exp(-t * (abs(x) - abs(y)) ** 2) * math.expm1(-4.0 * t * abs(x * y))
     except OverflowError:
-        raise NonFiniteError(f"(x +- y)**2 overflows at ({x}, {y})") from None
+        raise NonFiniteError(f"(|x| - |y|)**2 overflows at ({x}, {y})") from None
+    if x * y < 0.0:
+        lhs = -lhs
     w = 2.0 * t * x * y
     if w == 0.0:
         return IdentityCheck(lhs=lhs, rhs_partial=0.0, remainder_bound=0.0)

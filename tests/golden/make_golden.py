@@ -117,6 +117,8 @@ def cases() -> list:
         ("counterexample", ["counterexample", "--alpha", "2.5"]),
         ("bernstein_d01", ["bernstein-gap", "-d", f"{g}/d01.json", "-g", f"{g}/g01.json"]),
         ("series", ["series-check", "--x", "1.2", "--y", "-0.7", "--t", "0.9", "--n-terms", "25"]),
+        # lhs is a difference of two exponentials within 4e-10 of each other.
+        ("series_small", ["series-check", "--x", "1e-5", "--y", "1e-5", "--t", "1", "--n-terms", "40"]),
         ("sample", ["sample", "--H", "0.5", "--K", "1", "--grid", "0:0.25:9", "--m", "20",
                     "--seed", "404", "--out", SAMPLE_CSV]),
         # 210,000 values: several CSV write blocks, with the t = 0 column

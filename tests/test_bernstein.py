@@ -492,8 +492,10 @@ class TestElementarySeries:
 
 class TestSeriesIdentityCheck:
     def test_zero_argument(self):
-        res = series_identity_check(0.0, 4.0, 1.0, 5)
-        assert res.lhs == 0.0 and res.rhs_partial == 0.0 and res.remainder_bound == 0.0
+        for x, y in [(0.0, 4.0), (-0.0, 4.0), (4.0, -0.0)]:
+            res = series_identity_check(x, y, 1.0, 5)
+            assert res.lhs == 0.0 and res.rhs_partial == 0.0 and res.remainder_bound == 0.0
+            assert math.copysign(1.0, res.lhs) == 1.0  # 0.0, not -0.0
 
     def test_unit_point(self):
         # oracle: lhs = 1 - e^-2, closed form 2 e^-1 sinh(1)
@@ -501,6 +503,13 @@ class TestSeriesIdentityCheck:
         assert res.lhs == pytest.approx(1.0 - math.exp(-2.0), rel=1e-15)
         assert res.lhs == pytest.approx(2.0 * math.exp(-1.0) * math.sinh(1.0), rel=1e-14)
         assert abs(res.lhs - res.rhs_partial) <= res.remainder_bound + 1e-15
+
+    @pytest.mark.parametrize("x,y,t", [(1e-5, 1e-5, 1.0), (0.3, -2e-4, 0.5)])
+    def test_close_exponentials_keep_their_digits(self, x, y, t):
+        # exp(-t(x-y)**2) and exp(-t(x+y)**2) agree to 4e-10 and 1.2e-4:
+        # the lhs, formed through expm1, is within a few ulps of the series.
+        res = series_identity_check(x, y, t, 40)
+        assert abs(res.lhs - res.rhs_partial) <= res.remainder_bound + 4 * math.ulp(res.lhs)
 
     def test_opposite_signs_negative(self):
         res = series_identity_check(1.0, -1.0, 1.0, 30)
@@ -659,3 +668,27 @@ class TestAlphaMomentAsBernstein:
             bound = np.sum(ww * np.abs(dg)) + 1e-13 * np.sum(ww * (plus**beta - minus**beta))
             err = bernstein_gap_exact(d, g).gap - gap_via_variance(d, alpha).gap
             assert abs(err) <= bound, d
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.6, 1.0, 1.5, 1.9])
+    def test_e_plus_is_the_alpha_route_e_plus(self, alpha):
+        # e_plus is sum_ij p_i p_j F(|x_i + x_j|), so the routes differ by at
+        # most sum_ij p_i p_j |dG((x_i + x_j)**2)|, plus rounding of 1e-13
+        # of e_plus.
+        beta = alpha / 2
+        g = power_as_bernstein(beta)
+        for d in self.LAWS:
+            xs, p = np.array(d.values()), np.array(d.probs())
+            plus, pp = np.add.outer(xs, xs) ** 2, np.outer(p, p)
+            bound = np.sum(pp * np.abs(g_values(g, plus) - plus**beta)) + 1e-13 * np.sum(pp * plus**beta)
+            err = bernstein_gap_exact(d, g).e_plus - gap_via_variance(d, alpha).e_plus
+            assert abs(err) <= bound, d
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.6, 1.0, 1.5, 1.9])
+    def test_g_is_the_power(self, alpha):
+        # G_h(lam) = lam**beta up to the trapezoid error, under 4.2e-12
+        # relative at these lam; g_values forms the same terms by numpy.
+        beta = alpha / 2
+        g = power_as_bernstein(beta)
+        for lam in (1.0, 4.0):
+            assert eval_g(g, lam) == pytest.approx(lam**beta, rel=1e-10)
+            assert eval_g(g, lam) == pytest.approx(g_values(g, lam), rel=1e-14)

@@ -371,6 +371,16 @@ class TestBernsteinGapCmd:
         assert strict_json(out)["gap"] == gap
         assert err == ""
 
+    def test_e_plus_past_double_range_exits_2(self, tmp_path):
+        # F = a = DBL_MAX on every pair: each term is finite, e_plus is not.
+        d = tmp_path / "d.json"
+        d.write_text(json.dumps(dist_to_json(DiscreteDist([(float(x), 0.2) for x in range(5)]))))
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"a": sys.float_info.max, "b": 0, "mu": []}))
+        r = run_cli("bernstein-gap", "-d", str(d), "-g", str(g))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
     def test_malformed_bernstein_exits_2(self, dist_file, tmp_path):
         g = tmp_path / "g.json"
         g.write_text(json.dumps({"a": -1.0, "b": 0.0}))

@@ -141,6 +141,12 @@ class TestExpectPair:
                 scale = math.fsum(abs(w * val) for w, val in product_atoms)
                 assert abs(expect_pair(d, g) - oracle) <= 1e-14 * max(scale, 1.0)
 
+    def test_total_past_double_range_raises(self):
+        # Each term 0.04 * DBL_MAX is finite; their total is not.
+        d = DiscreteDist([(float(x), 0.2) for x in range(5)])
+        with pytest.raises(NonFiniteError):
+            expect_pair(d, lambda u, v: np.full(np.broadcast_shapes(u.shape, v.shape), sys.float_info.max))
+
     def test_pair_sum_tolerance_scale(self):
         # scale sums |a_i a_j t_ij| over the whole table, starting from 0.
         def pair_sum(a, t):

@@ -549,6 +549,29 @@ class TestGapMc:
         ]
         assert sum(v <= 3.0 for v in z_moments) >= 45
 
+    @pytest.mark.parametrize("beta,alpha", [(0.7, 0.5), (0.9, 0.6)])
+    def test_positive_stable_law_converges_without_variance(self, beta, alpha):
+        # With beta / 2 <= alpha < beta, |X+-Y|**alpha has a mean but no
+        # finite variance, so stderr bounds nothing.  By the stable limit
+        # theorem the errors of e_plus and e_minus fall like
+        # n**(alpha/beta - 1): by 3.7x and 4.6x from n = 1e4 to 1e6.  The
+        # gap's falls faster, as the tail index of its pair term is
+        # 2 beta / alpha > 2 (X and Y must both be large).  On
+        # seeds 0-9, the median relative error of e_plus, e_minus and the
+        # gap falls by at least 2x (3.09x at the least), and at n = 1e6 each
+        # seed's is at most 6 n**(alpha/beta - 1) (2.68 at the most).
+        s = positive_stable_sampler(beta)
+        e_plus, e_minus = positive_stable_moments(beta, alpha)
+        exact = np.array([e_plus, e_minus, e_plus - e_minus])
+
+        def rel_errors(n):
+            reports = [gap_mc(s, alpha, n, seed=seed) for seed in range(10)]
+            return np.abs([(r.e_plus, r.e_minus, r.gap) for r in reports] - exact) / exact
+
+        coarse, fine = rel_errors(10**4), rel_errors(10**6)
+        assert np.all(np.median(fine, axis=0) <= 0.5 * np.median(coarse, axis=0))
+        assert fine.max() <= 6.0 * 1e6 ** (alpha / beta - 1.0)
+
     def test_positive_stable_law_rejects_alpha_beta(self):
         # E|X|**beta is infinite, so moment_hint stops just below beta.
         with pytest.raises(InvalidInputError):

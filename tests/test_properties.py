@@ -269,7 +269,9 @@ _SYMMETRIC_GS = {
 
 def _table_outcome(d, g):
     """The math.fsum of the whole k by k table in row-major order, as
-    _fsum_outcome gives it, or the message naming its first non-finite pair."""
+    _fsum_outcome gives it, or the message naming its first non-finite pair,
+    or, where that fsum overflows, the walk's message for a total past
+    double range."""
     xs, ps = np.array(d.values()), np.array(d.probs())
     with np.errstate(all="ignore"):
         table = ps[:, None] * ps[None, :] * g(xs[:, None], xs[None, :])
@@ -277,7 +279,8 @@ def _table_outcome(d, g):
     if bad.size:
         i, j = bad[0]
         return f"g({xs[i]}, {xs[j]}) is not finite"
-    return _fsum_outcome(_reference_fsum, [table.ravel()])
+    outcome = _fsum_outcome(_reference_fsum, [table.ravel()])
+    return "the sum of the pair terms leaves double range" if outcome is OverflowError else outcome
 
 
 def _walk_outcome(d, g, block):
