@@ -237,34 +237,36 @@ def series_identity_check(x: float, y: float, t: float, n_terms: int) -> Identit
         exp(-t|x-y|**2) - exp(-t|x+y|**2)
             = 2*exp(-t x**2 - t y**2) * sum_n (2 t x y)**(2n+1) / (2n+1)!.
 
-    The lhs is formed as sgn(xy) * -exp(-t(|x|-|y|)**2) * expm1(-4t|xy|),
-    the factorisation of :func:`bernstein_gap_exact`'s table, so it keeps
-    its digits when the two exponentials are close.  Each summand is
-    evaluated with its exp(-t x**2 - t y**2) prefactor folded in via
-    logarithms, so the summands themselves never overflow.  All summands
-    share the sign of x*y, so the remainder bound is the first omitted
-    summand summed geometrically (infinite when the term ratio is still
-    >= 1 at the cutoff).  Raises NonFiniteError for non-finite x or y, and
-    when (|x| - |y|)**2 or 2*t*x*y is not finite; raises
-    InvalidInputError when the walk would start past term 2**53,
-    min(|w|/2, n_terms - 1).
+    With w = 2txy, the lhs is formed as
+    sgn(w) * -exp(-t(|x|-|y|)**2) * expm1(-2|w|), the factorisation of
+    :func:`bernstein_gap_exact`'s table, so it keeps its digits when the
+    two exponentials are close.  Each summand is evaluated with its
+    exp(-t x**2 - t y**2) prefactor folded in via logarithms, so the
+    summands themselves never overflow; the exponent is formed as
+    t(|x|-|y|)**2 + |w|, so neither x**2 nor y**2 is.  All summands share
+    the sign of w, so the remainder bound is the first omitted summand
+    summed geometrically (infinite when the term ratio is still >= 1 at
+    the cutoff).  Raises NonFiniteError for non-finite x or y, and when
+    (|x| - |y|)**2 or w is not finite; raises InvalidInputError when the
+    walk would start past term 2**53, min(|w|/2, n_terms - 1).
     """
     x, y, t = _finite("x", x), _finite("y", y), _real("t", t)
     if not t > 0:
         raise InvalidInputError(f"t must be > 0, got {t}")
     n_terms = _count("n_terms", n_terms, 1)
-    try:  # expm1(-0.0) is -0.0, so lhs is 0.0 at xy = 0
-        lhs = -math.exp(-t * (abs(x) - abs(y)) ** 2) * math.expm1(-4.0 * t * abs(x * y))
+    try:
+        d2 = t * (abs(x) - abs(y)) ** 2
     except OverflowError:
         raise NonFiniteError(f"(|x| - |y|)**2 overflows at ({x}, {y})") from None
-    if x * y < 0.0:
-        lhs = -lhs
     w = 2.0 * t * x * y
+    lhs = -math.exp(-d2) * math.expm1(-2.0 * abs(w))  # expm1(-0.0) is -0.0, so lhs is 0.0 at w = 0
+    if w < 0.0:
+        lhs = -lhs
     if w == 0.0:
         return IdentityCheck(lhs=lhs, rhs_partial=0.0, remainder_bound=0.0)
     if not math.isfinite(w):
         raise NonFiniteError(f"2*t*x*y = {w} is not finite at ({x}, {y}, {t})")
-    log_pref = math.log(2.0) - t * (x * x + y * y)
+    log_pref = math.log(2.0) - d2 - abs(w)  # t(x**2 + y**2), with no square that can overflow
     log_w = math.log(abs(w))
     sign = 1.0 if w > 0 else -1.0
 

@@ -239,11 +239,12 @@ def expect_pair(d: DiscreteDist, g: Callable[[np.ndarray, np.ndarray], np.ndarra
     ``g`` gets numpy blocks of the x_i by x_j table, ``u`` of shape (r, 1)
     and ``v`` of shape (1, c), and returns values that broadcast to (r, c);
     g(u, v) must equal g(v, u) bit for bit.  Raises NonFiniteError at the
-    first pair where g is NaN or infinite and when the total leaves double
-    range, and InvalidInputError at the first block whose values are not
-    real numbers (bool, integer or float), a ragged sequence included, or
-    do not broadcast to (r, c).  A g that allocates at most one new
-    block-sized array keeps the blocks' pages in the heap (see PAIR_BLOCK).
+    first pair where g is NaN or infinite, and, naming no pair, when g
+    raises OverflowError or the total leaves double range; raises
+    InvalidInputError at the first block whose values are not real numbers
+    (bool, integer or float), a ragged sequence included, or do not
+    broadcast to (r, c).  A g that allocates at most one new block-sized
+    array keeps the blocks' pages in the heap (see PAIR_BLOCK).
     """
     xs = np.array(d.values())
 
@@ -312,8 +313,9 @@ def _pair_sum(a: np.ndarray, block: Callable[..., np.ndarray], bad: Callable[...
     broadcast to that shape and are not a ``work`` array; it runs under
     :func:`_block_ufuncs` with numpy errors ignored.  Raises
     NonFiniteError(bad(i, j)) at the first non-finite term in row-major
-    order, and NonFiniteError when the terms are finite but their total,
-    or fsum's running sum of them, leaves double range.  The block's own
+    order, and NonFiniteError naming no pair when ``block`` raises
+    OverflowError or the terms are finite but their total, or fsum's
+    running sum of them, leaves double range.  The block's own
     square is summed as it is.  The columns right of it are doubled, as
     they also stand for their mirror images below the block; only they rely
     on the table's symmetry, and twice such a term is exact and finite
@@ -337,7 +339,7 @@ def _pair_sum(a: np.ndarray, block: Callable[..., np.ndarray], bad: Callable[...
     try:
         return _exact_sum(terms()), scale
     except OverflowError:  # from fsum, or from a caller's block that raised it
-        raise NonFiniteError("the sum of the pair terms leaves double range") from None
+        raise NonFiniteError("a pair term or the sum of the pair terms leaves double range") from None
 
 
 def _exact_sum(blocks: Iterable[np.ndarray]) -> float:

@@ -85,7 +85,7 @@ def identity_rhs_from_zero(x, y, t, n_terms):
     the same per-term formula, ending at the first 0.0 once the term ratio
     is below 1/2.  It walks the terms that underflow before the peak too."""
     w = 2.0 * t * x * y
-    log_pref = math.log(2.0) - t * (x * x + y * y)
+    log_pref = math.log(2.0) - t * (abs(x) - abs(y)) ** 2 - abs(w)
     log_w = math.log(abs(w))
     sign = 1.0 if w > 0 else -1.0
     terms = []
@@ -591,6 +591,14 @@ class TestSeriesIdentityCheck:
         with pytest.raises(ValueError):
             series_identity_check(1.0, 1.0, math.nan, 5)
 
+    @pytest.mark.parametrize("x,y,t", [(1e154, 1e154, 1e-307), (-1e160, 1e160, 5e-324)])
+    def test_squares_past_double_range_keep_the_bound(self, x, y, t):
+        # x*x + y*y overflows while t*(x*x + y*y), the prefactor's exponent,
+        # is 20 or 1e-3; at the second point x*y overflows as well.
+        res = series_identity_check(x, y, t, 40)
+        assert abs(res.lhs) > 1e-3
+        assert abs(res.lhs - res.rhs_partial) <= res.remainder_bound + 1e-14
+
     @pytest.mark.parametrize("x,y", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0)])
     def test_nonfinite_point_rejected(self, x, y):
         with pytest.raises(NonFiniteError):
@@ -600,7 +608,7 @@ class TestSeriesIdentityCheck:
         "x,y,t", [(1e200, 1e200, 1.0), (1e200, -1e200, 1.0), (1e10, 1e10, 1e300), (1.0, 2.0, math.inf)]
     )
     def test_overflow_raises_nonfinite(self, x, y, t):
-        # (x +- y)**2 or 2*t*x*y leaves double range
+        # (|x| - |y|)**2 or 2*t*x*y leaves double range
         with pytest.raises(NonFiniteError):
             series_identity_check(x, y, t, 3)
 

@@ -147,6 +147,12 @@ class TestExpectPair:
         with pytest.raises(NonFiniteError):
             expect_pair(d, lambda u, v: np.full(np.broadcast_shapes(u.shape, v.shape), sys.float_info.max))
 
+    def test_g_overflow_raises_nonfinite(self):
+        # An OverflowError of g is a pair term past double range.
+        d = DiscreteDist([(0.0, 0.5), (1.0, 0.5)])
+        with pytest.raises(NonFiniteError, match="a pair term or the sum"):
+            expect_pair(d, lambda u, v: u + v + 10.0**400)
+
     def test_pair_sum_tolerance_scale(self):
         # scale sums |a_i a_j t_ij| over the whole table, starting from 0.
         def pair_sum(a, t):

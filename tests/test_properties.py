@@ -280,7 +280,7 @@ def _table_outcome(d, g):
         i, j = bad[0]
         return f"g({xs[i]}, {xs[j]}) is not finite"
     outcome = _fsum_outcome(_reference_fsum, [table.ravel()])
-    return "the sum of the pair terms leaves double range" if outcome is OverflowError else outcome
+    return "a pair term or the sum of the pair terms leaves double range" if outcome is OverflowError else outcome
 
 
 def _walk_outcome(d, g, block):
