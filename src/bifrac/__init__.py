@@ -4,7 +4,9 @@ Bernstein-function generalization.
 
 ``import bifrac`` loads numpy and no bifrac submodule.  Every public name,
 and every submodule, is imported on first access (PEP 562) and then cached in
-this namespace.
+this namespace.  ``_LAZY`` is the one list of public names: every class and
+function a submodule defines without a leading underscore is in it, and no
+submodule defines ``__all__``.
 
 numpy is loaded first, with OpenBLAS's idle timeout at 2**20 cycles unless
 numpy was already imported or the caller set ``OPENBLAS_THREAD_TIMEOUT``.
@@ -40,6 +42,8 @@ _LAZY = {
     for module, names in {
         "bernstein": (
             "BernsteinFn",
+            "IdentityCheck",
+            "SeriesResult",
             "bernstein_from_json",
             "bernstein_gap_exact",
             "bernstein_to_json",
@@ -49,6 +53,7 @@ _LAZY = {
             "series_identity_check",
         ),
         "counterexample": (
+            "BoundChain",
             "CounterFamily",
             "closed_form_violation",
             "family_dist",

@@ -34,19 +34,6 @@ from .dists import DiscreteDist, _json_number, _json_pairs, _pair_sum, _signed_w
 from .errors import InvalidInputError, NegativeArgumentError, NonFiniteError, _count, _finite, _pairs, _real
 from .inequality import GapReport, _signed_form
 
-__all__ = [
-    "BernsteinFn",
-    "SeriesResult",
-    "IdentityCheck",
-    "eval_g",
-    "eval_f",
-    "bernstein_gap_exact",
-    "elementary_gap_series",
-    "series_identity_check",
-    "bernstein_from_json",
-    "bernstein_to_json",
-]
-
 # Beyond this value of 2*t*max|x|**2 the dominating coefficients
 # 2*z**(2n+1)/(2n+1)! leave double range near their peak (~e**z).
 _Z_LIMIT = 650.0

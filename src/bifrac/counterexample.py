@@ -30,16 +30,6 @@ from .errors import (
     _real,
 )
 
-__all__ = [
-    "CounterFamily",
-    "BoundChain",
-    "family_dist",
-    "violation_exact",
-    "closed_form_violation",
-    "lower_bound_chain",
-    "find_violation",
-]
-
 M_CAP = 1e9
 ALPHA_MAX = 40.0
 

@@ -26,16 +26,6 @@ import numpy as np
 
 from .errors import InvalidInputError, NonFiniteError, _finite, _pairs
 
-__all__ = [
-    "DiscreteDist",
-    "Sampler",
-    "expect",
-    "expect_pair",
-    "dist_from_json",
-    "dist_to_json",
-    "normal_sampler",
-]
-
 _SUM_TOL = 1e-12
 
 # Values per row block of a _row_blocks walk and per chunk in _exact_sum:
@@ -140,7 +130,8 @@ class DiscreteDist:
         ``bit_generator.random_raw`` instead, a new array per draw since it
         has no ``out=``: the bucket is ``w >> (64 - g)`` for G = 2**g, and
         ``u * G = (w >> 11) * (G / 2**53)`` is formed only for the hits.
-        Other generators (MT19937 makes u of two 32-bit words) draw u.
+        Other generators (MT19937 makes u of two 32-bit words) draw through
+        ``rng.choice`` itself, copied into ``out`` when one is given.
 
         Bucket b holds the breakpoints start[b] <= i < start[b + 1], start[b]
         the index of the first ``cdf > b/G``.  A hit in a bucket with one
@@ -148,7 +139,8 @@ class DiscreteDist:
         hits in buckets with more are searched in the whole CDF.
         """
         xs = np.array(self.values(), dtype=np.float64)
-        cdf = np.array(self.probs(), dtype=np.float64).cumsum()
+        ps = np.array(self.probs(), dtype=np.float64)
+        cdf = ps.cumsum()
         cdf /= cdf[-1]
         buckets = min(1 << (32 * len(cdf) - 1).bit_length(), GUIDE_BUCKETS_MAX)
         shift = 64 - (buckets.bit_length() - 1)
@@ -157,27 +149,28 @@ class DiscreteDist:
         vals = np.where(start[1:] == start[:-1], xs[start[:-1]], np.nan)
         cdf *= buckets
         top53 = _top53_words()
-        scratch = threading.local()  # bucket scratch of this thread's draws into out
+        scratch = threading.local()  # bucket indices of this thread's draws
 
         def draw(rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
+            if type(rng.bit_generator) not in top53:
+                drawn = rng.choice(xs, size, p=ps)
+                if out is None:
+                    return drawn
+                np.copyto(out, drawn)
+                return out
+            b = getattr(scratch, "b", None)
+            if b is None or len(b) < size:
+                b = scratch.b = np.empty(size, np.intp)
+            b = b[:size]
             if out is None:
-                b, out = np.empty(size, np.intp), np.empty(size)
-            else:
-                if len(getattr(scratch, "b", ())) < size:
-                    scratch.b = np.empty(size, np.intp)
-                b = scratch.b[:size]
-            if type(rng.bit_generator) in top53:
-                words, u = rng.bit_generator.random_raw(size), None  # no out=: a new array
-                np.right_shift(words, shift, out=b.view(np.uint64))
-            else:
-                u = rng.random(size)
-                u *= buckets
-                np.copyto(b, u, casting="unsafe")  # as u.astype(np.intp)
+                out = np.empty(size)
+            words = rng.bit_generator.random_raw(size)  # no out=: a new array
+            np.right_shift(words, shift, out=b.view(np.uint64))
             # b < G always; mode="raise" would buffer out.
             np.take(vals, b, out=out, mode="clip")
             j = np.flatnonzero(np.isnan(out))
             hit = b[j]
-            ug = (words[j] >> 11) * (buckets / 2**53) if u is None else u[j]  # u * G, exactly
+            ug = (words[j] >> 11) * (buckets / 2**53)  # u * G, exactly
             lo = start[hit]
             at = lo + (cdf[lo] <= ug)
             many = start[hit + 1] - lo > 1
@@ -200,14 +193,16 @@ class Sampler:
 
     ``fills`` says that ``draw(rng, size, out=a)`` is also accepted: it
     writes the values ``draw(rng, size)`` returns into ``a``, a C-contiguous
-    float64 array of ``size`` values, and returns ``a``; each thread may
-    draw into its own ``a`` at the same time.  gap_mc keeps x and y in such
-    buffers, one pair per worker.  Any other sampler's ``draw(rng, size)``
-    must return ``size`` real values of shape ``(size,)``; gap_mc copies them
-    into the buffers as float64 (so longdouble draws lose their extra
-    precision), never writes to the returned array, and raises
-    InvalidInputError for values that are not real numbers (bool, integer
-    or float), a ragged sequence included, and for any other shape.
+    float64 array of ``size`` values, and returns ``a`` itself; each thread
+    may draw into its own ``a`` at the same time.  gap_mc keeps x and y in
+    such buffers, one pair per worker, and raises InvalidInputError when a
+    draw into one returns any other array.  Any other sampler's
+    ``draw(rng, size)`` must return ``size`` real values of shape
+    ``(size,)``; gap_mc copies them into the buffers as float64 (so
+    longdouble draws lose their extra precision), never writes to the
+    returned array, and raises InvalidInputError for values that are not
+    real numbers (bool, integer or float), a ragged sequence included, and
+    for any other shape.
     """
 
     draw: Callable[..., np.ndarray]

@@ -29,16 +29,6 @@ from .errors import (
 )
 from .kernel import BifParams, TimeGrid, cov_matrix
 
-__all__ = [
-    "CovMatrix",
-    "PsdVerdict",
-    "PathBatch",
-    "build_cov_matrix",
-    "check_psd",
-    "cholesky_factor",
-    "sample_paths",
-]
-
 # Rows per sampling chunk; fixed, so a batch depends only on its arguments.
 CHUNK_ROWS = 4096
 

@@ -48,16 +48,6 @@ from .errors import (
 )
 from .kernel import BifParams, _cov_rows
 
-__all__ = [
-    "GapReport",
-    "SupnormBound",
-    "gap_exact",
-    "gap_tail_integral",
-    "gap_via_variance",
-    "gap_mc",
-    "supnorm_bound",
-]
-
 MC_CHUNK = 1 << 16
 
 _NONNEG_TOL = 1e-12
@@ -228,10 +218,12 @@ def _mc_chunk(s: Sampler, alpha: float, seed: int, chunk: int, size: int, work):
 
     ``work`` is three float64 arrays of at least ``size`` values, owned by
     the calling worker.  x and y land in the first two: a sampler that
-    ``fills`` draws into them, and any other sampler's array of ``size``
-    values is copied in (it is only read, so it may be cached, shared or
-    read-only).  am is written over y and ap, then dv, into the third; the
-    mask of zero lanes below overwrites x, which is not read after x - y.
+    ``fills`` draws into them and must return the buffer it was given
+    (InvalidInputError otherwise, as its values may be elsewhere), and any
+    other sampler's array of ``size`` values is copied in (it is only read,
+    so it may be cached, shared or read-only).  am is written over y and
+    ap, then dv, into the third; the mask of zero lanes below overwrites x,
+    which is not read after x - y.
 
     numpy's AVX-512 pow takes a slow path on each lane that is exactly 0,
     and |x - y| is 0 with probability sum p**2 for a discrete law (at least
@@ -246,7 +238,8 @@ def _mc_chunk(s: Sampler, alpha: float, seed: int, chunk: int, size: int, work):
     for stream, buf in enumerate((x, y)):
         rng = substream(seed, stream, chunk)
         if s.fills:
-            s.draw(rng, size, out=buf)
+            if s.draw(rng, size, out=buf) is not buf:
+                raise InvalidInputError(f"draw(rng, {size}, out=buf) returned another array than buf")
         else:
             drawn = _real_values(f"draw(rng, {size})", s.draw(rng, size))
             if drawn.shape != (size,):

@@ -30,14 +30,6 @@ from .errors import (
     _real,
 )
 
-__all__ = [
-    "BifParams",
-    "TimeGrid",
-    "validate_params",
-    "cov",
-    "cov_matrix",
-    "signed_identity_lhs",
-]
 
 @dataclass(frozen=True)
 class BifParams:

@@ -31,10 +31,12 @@ from bifrac import (
     BernsteinFn,
     BifParams,
     BifracError,
+    BoundChain,
     CounterFamily,
     CovMatrix,
     DiscreteDist,
     GapReport,
+    IdentityCheck,
     InsufficientSamplesError,
     InvalidInputError,
     NegativeArgumentError,
@@ -43,6 +45,7 @@ from bifrac import (
     PathBatch,
     PsdVerdict,
     Sampler,
+    SeriesResult,
     SupnormBound,
     TimeGrid,
     bernstein_from_json,
@@ -422,17 +425,20 @@ def _sample(p, grid, m, seed):
 CALLS = {
     "BernsteinFn": (st.tuples(values, values, sequences(st.tuples(values, values), 3)), BernsteinFn),
     "BifParams": (st.tuples(values, values), BifParams),
+    "BoundChain": (st.tuples(values, values, values), BoundChain),
     "CounterFamily": (st.tuples(values, values, values), CounterFamily),
     "CovMatrix": (cov_matrices(), lambda p, g, e: (check_psd(m := CovMatrix(p, g, e)), cholesky_factor(m))),
     "DiscreteDist": (st.tuples(sequences(st.tuples(values, values), 50)), DiscreteDist),
     "DiscreteDist.sampler": (laws(50), lambda d: d.sampler().draw(np.random.default_rng(0), 100)),
     "GapReport": (st.tuples(values, values, values), lambda a, p, m: GapReport(a, p, m, "exact")),
+    "IdentityCheck": (st.tuples(values, values, values), IdentityCheck),
     "PathBatch": (
         st.tuples(grids(4), st.sampled_from([(2, 1), (2, 4), (3,), (0, 2), ()]), values),
         lambda g, shape, seed: PathBatch(g, np.zeros(shape), seed),
     ),
     "PsdVerdict": (st.tuples(st.booleans(), reals), PsdVerdict),
     "Sampler": (st.tuples(st.just(None), reals), Sampler),
+    "SeriesResult": (st.tuples(values, values, counts(1000)), SeriesResult),
     "SupnormBound": (st.tuples(reals, reals, reals, reals), SupnormBound),
     "TimeGrid": (st.tuples(sequences(values, 12)), TimeGrid),
     "TimeGrid.regular": (st.tuples(values, values, counts(1000)), TimeGrid.regular),

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import sys
@@ -292,6 +293,20 @@ class TestDrawInto:
         if d is not None:
             choice = substream(11, 1, 2).choice(np.array(d.values()), size=size, p=np.array(d.probs()))
             assert np.array_equal(out, choice)
+
+    @pytest.mark.parametrize("into", [False, True])
+    @pytest.mark.parametrize("bits", [np.random.SFC64, np.random.MT19937])
+    @pytest.mark.parametrize("name", list(_FILLING_LAWS))
+    def test_size_zero_on_a_fresh_thread(self, name, bits, into):
+        # A thread's first draw is of no values: it makes the thread's
+        # scratch, as a larger draw does, and returns an empty array.
+        s = self._sampler(name)
+        out = np.empty(0) if into else None
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            got = pool.submit(s.draw, np.random.Generator(bits(3)), 0, out=out).result()
+        assert got.shape == (0,) and got.dtype == np.float64
+        if into:
+            assert got is out
 
     @pytest.mark.parametrize("name", list(_FILLING_LAWS))
     def test_threads_fill_as_one_after_the_other(self, name):

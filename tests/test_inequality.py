@@ -572,6 +572,15 @@ class TestGapMc:
         assert np.all(np.median(fine, axis=0) <= 0.5 * np.median(coarse, axis=0))
         assert fine.max() <= 6.0 * 1e6 ** (alpha / beta - 1.0)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_filling_sampler_must_return_out(self, workers):
+        # A sampler that says it fills but returns a new array leaves the
+        # workspace as it was allocated: its report would be made of
+        # whatever the buffers held.
+        s = Sampler(draw=lambda rng, size, out=None: rng.standard_normal(size), moment_hint=math.inf, fills=True)
+        with pytest.raises(InvalidInputError, match="returned another array than buf"):
+            gap_mc(s, 1.0, 200_000, 3, workers=workers)
+
     def test_positive_stable_law_rejects_alpha_beta(self):
         # E|X|**beta is infinite, so moment_hint stops just below beta.
         with pytest.raises(InvalidInputError):

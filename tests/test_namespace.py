@@ -3,6 +3,8 @@ public name and submodule resolves on first access, and how numpy is loaded
 (OpenBLAS's idle timeout).  Each check that depends on what is already
 imported runs in a fresh interpreter."""
 
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -16,6 +18,8 @@ import bifrac
 EXPORTS = {
     "bernstein": (
         "BernsteinFn",
+        "IdentityCheck",
+        "SeriesResult",
         "bernstein_from_json",
         "bernstein_gap_exact",
         "bernstein_to_json",
@@ -25,6 +29,7 @@ EXPORTS = {
         "series_identity_check",
     ),
     "counterexample": (
+        "BoundChain",
         "CounterFamily",
         "closed_form_violation",
         "family_dist",
@@ -118,6 +123,21 @@ def test_every_export_is_its_module_attribute():
         "    if getattr(bifrac, n) is not getattr(importlib.import_module('bifrac.' + m), n)]))"
     )
     assert mismatched == []
+
+
+def test_every_public_definition_is_exported():
+    # A class or function a submodule defines without a leading underscore
+    # is a package name: it is listed in __init__._LAZY, the one list.
+    unexported = [
+        f"{module}.{name}"
+        for module, names in EXPORTS.items()
+        for name, obj in vars(importlib.import_module(f"bifrac.{module}")).items()
+        if not name.startswith("_")
+        and (inspect.isclass(obj) or inspect.isfunction(obj))
+        and obj.__module__ == f"bifrac.{module}"
+        and name not in names
+    ]
+    assert unexported == []
 
 
 def test_all_and_dir_list_the_exports():
