@@ -10,8 +10,15 @@ submodule defines ``__all__``.
 
 numpy is loaded first, with OpenBLAS's idle timeout at 2**20 cycles unless
 numpy was already imported or the caller set ``OPENBLAS_THREAD_TIMEOUT``.
+When this import is the one that loads numpy, the garbage collector is
+paused for it, and what the import built is then moved into the oldest
+generation (``gc.freeze(); gc.unfreeze()``) unless the caller froze objects
+of its own.  The collector is re-enabled only if it was enabled, and a
+caller's frozen objects stay frozen.  When numpy was already loaded,
+``import bifrac`` makes no garbage-collector call.
 """
 
+import gc
 import os
 import sys
 from importlib import import_module as _import_module
@@ -22,7 +29,17 @@ from importlib import import_module as _import_module
 # work meanwhile.  2**20 cycles keeps the threads awake across the many BLAS
 # calls of one LAPACK routine.  OpenBLAS reads the variable once, at load;
 # it is removed again so that no subprocess or host program sees it.
-_timeout = "numpy" not in sys.modules and "OPENBLAS_THREAD_TIMEOUT" not in os.environ
+#
+# numpy's import allocates tens of thousands of objects that live as long as
+# the process; with the collector on they pass through about 30 young
+# collections that free almost nothing.  So the collector is paused for the
+# import.  Paused, those objects pile up in the youngest generation, and the
+# promotion keeps the first young collection after it from walking them all.
+_fresh = "numpy" not in sys.modules
+_timeout = _fresh and "OPENBLAS_THREAD_TIMEOUT" not in os.environ
+if _fresh:
+    _enabled = gc.isenabled()
+    gc.disable()
 if _timeout:
     os.environ["OPENBLAS_THREAD_TIMEOUT"] = "20"
 try:
@@ -32,7 +49,14 @@ try:
 finally:
     if _timeout:
         del os.environ["OPENBLAS_THREAD_TIMEOUT"]
-del numpy, os, sys, _timeout
+    if _fresh:
+        if not gc.get_freeze_count():  # unfreeze would thaw the caller's objects
+            gc.freeze()
+            gc.unfreeze()
+        if _enabled:
+            gc.enable()
+        del _enabled
+del gc, numpy, os, sys, _fresh, _timeout
 
 __version__ = "0.1.0"
 

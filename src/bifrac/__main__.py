@@ -9,7 +9,9 @@ of them) and the OS takes their memory back with the process.  Nothing else
 about exit changes: atexit handlers run, non-daemon threads are joined and
 stdout and stderr are flushed, and every file bifrac writes is closed
 before ``main`` returns.  ``cli.main(argv)`` and the library never touch
-the collector, so a host program that calls them keeps its own.
+the collector, so a host program that calls them keeps its own; ``import
+bifrac`` pauses it only while it loads numpy (see the package docstring),
+and restores whether it runs.
 """
 
 import gc

@@ -28,7 +28,6 @@ error to stderr and exits 2.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -66,6 +65,8 @@ def _fmt(x) -> str:
 def render_json(obj) -> str:
     """JSON with floats at 17 significant digits; a non-finite float, which
     JSON cannot hold, renders as null."""
+    import json
+
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -107,6 +108,8 @@ def _resolve_seed(seed: int | None) -> int:
 
 
 def _load_json(path: str):
+    import json
+
     with open(path) as fh:
         try:
             return json.load(fh)
@@ -129,10 +132,12 @@ def _params(H: float, K: float, force: bool) -> BifParams:
 
 
 # Each handler imports the library modules it runs, so a process loads only
-# those beside errors and dists: ``gap`` adds inequality, kernel and _rng,
-# ``cov`` adds kernel, ``psd-check`` and ``sample`` add gpsim, kernel and
-# _rng, ``bernstein-gap`` and ``series-check`` add bernstein, inequality,
-# kernel and _rng, and ``counterexample`` adds counterexample alone.
+# those beside errors and dists: ``gap`` adds inequality and _rng, and
+# kernel on the variance route, ``cov`` adds kernel, ``psd-check`` and
+# ``sample`` add gpsim, kernel and _rng, ``bernstein-gap`` and
+# ``series-check`` add bernstein, inequality and _rng, and
+# ``counterexample`` adds counterexample alone.  json loads only where JSON
+# is read or written, so ``cov`` and ``sample`` never load it.
 def _cmd_cov(args) -> str:
     from .kernel import cov
 

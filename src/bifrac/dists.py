@@ -45,6 +45,11 @@ UFUNC_BUFFER = 1 << 10
 # with k past 2**15 atoms.
 GUIDE_BUCKETS_MAX = 1 << 20
 
+# Values per chunk of inequality.gap_mc, and the largest draw whose bucket
+# indices DiscreteDist.sampler keeps as a thread's scratch (512 KB); a larger
+# draw uses a temporary array.
+MC_CHUNK = 1 << 16
+
 
 def _top53_words() -> tuple[type, ...]:
     """Bit generators whose ``random()`` is ``(w >> 11) * 2**-53`` for one
@@ -149,7 +154,7 @@ class DiscreteDist:
         vals = np.where(start[1:] == start[:-1], xs[start[:-1]], np.nan)
         cdf *= buckets
         top53 = _top53_words()
-        scratch = threading.local()  # bucket indices of this thread's draws
+        scratch = threading.local()  # bucket indices of this thread's draws, up to MC_CHUNK
 
         def draw(rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
             if type(rng.bit_generator) not in top53:
@@ -160,7 +165,9 @@ class DiscreteDist:
                 return out
             b = getattr(scratch, "b", None)
             if b is None or len(b) < size:
-                b = scratch.b = np.empty(size, np.intp)
+                b = np.empty(size, np.intp)
+                if size <= MC_CHUNK:
+                    scratch.b = b
             b = b[:size]
             if out is None:
                 out = np.empty(size)

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rng import substream
-from .dists import DiscreteDist, Sampler, _pair_sum, _real_values, _signed_weights, expect_pair
+from .dists import MC_CHUNK, DiscreteDist, Sampler, _pair_sum, _real_values, _signed_weights, expect_pair
 from .errors import (
     InequalityViolationError,
     InsufficientSamplesError,
@@ -46,9 +46,6 @@ from .errors import (
     _finite,
     _real,
 )
-from .kernel import BifParams, _cov_rows
-
-MC_CHUNK = 1 << 16
 
 _NONNEG_TOL = 1e-12
 
@@ -201,6 +198,9 @@ def gap_via_variance(d: DiscreteDist, alpha: float) -> GapReport:
     the variance is the quadratic form w^T R w with R the kernel matrix on
     those points; it must be nonnegative, which is exactly why the gap is.
     """
+    # Imported here: of the routes, only this one evaluates the kernel.
+    from .kernel import BifParams, _cov_rows
+
     alpha = _real("alpha", alpha)
     if not 0 < alpha <= 2:
         raise OutOfDomainError("0 < alpha <= 2")

@@ -289,8 +289,8 @@ class TestGap:
         assert r.returncode == 2
 
     def test_negative_variance_exits_3(self, monkeypatch, capsys, dist_file):
-        rows = bifrac.inequality._cov_rows
-        monkeypatch.setattr(bifrac.inequality, "_cov_rows", lambda p, ts: lambda lo, hi, work: -rows(p, ts)(lo, hi, work))
+        rows = bifrac.kernel._cov_rows
+        monkeypatch.setattr(bifrac.kernel, "_cov_rows", lambda p, ts: lambda lo, hi, work: -rows(p, ts)(lo, hi, work))
         assert main(["gap", "-d", dist_file, "--alpha", "1", "--route", "variance"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -453,11 +453,12 @@ class TestImportCost:
 
     # Every bifrac module a subcommand loads beyond bifrac, cli, errors and
     # dists.  So `gap` never loads gpsim, bernstein or counterexample, and
-    # `cov`, `psd-check` and `sample` never load inequality, bernstein or
-    # counterexample.
-    GAP = {"inequality", "kernel", "_rng"}
+    # kernel only on the variance route, `cov`, `psd-check` and `sample`
+    # never load inequality, bernstein or counterexample, and `bernstein-gap`
+    # and `series-check` never load kernel.
+    GAP = {"inequality", "_rng"}
     GRID = {"gpsim", "kernel", "_rng"}
-    BERNSTEIN = {"bernstein", "inequality", "kernel", "_rng"}
+    BERNSTEIN = {"bernstein", "inequality", "_rng"}
 
     @pytest.mark.parametrize(
         "argv,modules",
@@ -469,7 +470,7 @@ class TestImportCost:
             ),
             pytest.param("gap -d {dist} --alpha 1 --route exact", GAP, id="gap-exact"),
             pytest.param("gap -d {dist} --alpha 1 --route tail", GAP, id="gap-tail"),
-            pytest.param("gap -d {dist} --alpha 1.5 --route variance", GAP, id="gap-variance"),
+            pytest.param("gap -d {dist} --alpha 1.5 --route variance", GAP | {"kernel"}, id="gap-variance"),
             pytest.param(
                 "gap -d {dist} --alpha 1 --route mc --n 140000 --seed 1 --workers 2", GAP, id="gap-mc"
             ),
@@ -497,6 +498,8 @@ class TestImportCost:
         # The command line is parsed without argparse and what it imports,
         # and gap_mc's threads need no concurrent.futures or logging.
         assert not loaded & {"argparse", "gettext", "locale", "concurrent.futures", "logging"}
+        # json loads only for a command that reads or writes JSON.
+        assert ("json" in loaded) == (args[0] not in {"cov", "sample"})
 
 
 # Each argv with the namespace the argparse parser of earlier releases

@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,7 @@ from bifrac import (
     normal_sampler,
 )
 from bifrac._rng import substream
-from bifrac.dists import _pair_sum
-from bifrac.inequality import MC_CHUNK
+from bifrac.dists import MC_CHUNK, _pair_sum
 
 from _support import random_dist
 
@@ -307,6 +307,27 @@ class TestDrawInto:
         assert got.shape == (0,) and got.dtype == np.float64
         if into:
             assert got is out
+
+    def test_scratch_is_kept_only_up_to_mc_chunk(self):
+        # A thread keeps the bucket indices of draws of up to MC_CHUNK
+        # values (512 KB) and reuses them; a larger draw's are freed with it.
+        s = DiscreteDist([(-1.0, 0.25), (2.0, 0.75)]).sampler()
+        rng = np.random.Generator(np.random.SFC64(5))
+        out = np.empty(MC_CHUNK)
+        tracemalloc.start()
+        try:
+            s.draw(rng, MC_CHUNK, out=out)
+            s.draw(rng, 10**6)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            s.draw(rng, MC_CHUNK, out=out)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 0.6e6
+        # The draw's raw words take MC_CHUNK * 8 bytes; new bucket indices
+        # would take as much again.
+        assert peak - current < 2 * MC_CHUNK * 8
 
     @pytest.mark.parametrize("name", list(_FILLING_LAWS))
     def test_threads_fill_as_one_after_the_other(self, name):

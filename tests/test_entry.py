@@ -1,6 +1,7 @@
 """The process entry ``bifrac.__main__.run``: the console script and
 ``python -m bifrac`` freeze the garbage collector as the process exits,
-while ``cli.main``, ``import bifrac`` and the library leave it alone.
+while ``cli.main`` and the library leave it alone.  ``import bifrac``
+pauses it only while it loads numpy, and leaves it as it found it.
 
 The freeze only skips the interpreter's final collections, so exit codes,
 stdout, stderr and written files must be those of ``cli.main``: the golden
@@ -68,8 +69,56 @@ def test_import_leaves_the_collector_alone():
     assert r.stdout.split() == ["True", "0"]
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_import_restores_whether_the_collector_runs(enabled):
+    code = f"import gc; gc.{'enable' if enabled else 'disable'}()\nimport bifrac\nprint(gc.isenabled())"
+    r = _script(code)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == str(enabled)
+
+
+def test_import_runs_no_collection_while_numpy_loads():
+    code = (
+        "import gc, sys\n"
+        "assert 'numpy' not in sys.modules\n"
+        "before = [s['collections'] for s in gc.get_stats()]\n"
+        "import bifrac\n"
+        "print([s['collections'] - b for s, b in zip(gc.get_stats(), before)])"
+    )
+    r = _script(code)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[0, 0, 0]"
+
+
+def test_import_keeps_a_hosts_frozen_objects_frozen():
+    # The promotion after numpy's import would unfreeze them: it is skipped.
+    code = (
+        "import gc; host = [[] for _ in range(100)]; gc.freeze(); n = gc.get_freeze_count()\n"
+        "import bifrac\n"
+        "print(n > 0, gc.get_freeze_count() == n, gc.isenabled())"
+    )
+    r = _script(code)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["True", "True", "True"]
+
+
+def test_import_after_numpy_makes_no_gc_call():
+    code = (
+        "import gc, numpy\n"
+        "calls = []\n"
+        "for name in [n for n in dir(gc) if not n.startswith('_') and callable(getattr(gc, n))]:\n"
+        "    setattr(gc, name, lambda *a, _name=name, **k: calls.append(_name))\n"
+        "import bifrac, bifrac.cli\n"
+        "print(calls)"
+    )
+    r = _script(code)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 def test_only_the_entry_calls_gc():
-    # No library module, cli included, imports gc; the entry does.
+    # No library module, cli included, imports gc.  The entry does, and so
+    # does the package's __init__, to pause the collector while numpy loads.
     importers = set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -77,7 +126,7 @@ def test_only_the_entry_calls_gc():
                 importers.add(path.name)
             if isinstance(node, ast.ImportFrom) and node.module == "gc":
                 importers.add(path.name)
-    assert importers == {"__main__.py"}
+    assert importers == {"__init__.py", "__main__.py"}
 
 
 def test_run_freezes_and_atexit_still_runs():

@@ -381,8 +381,8 @@ class TestNonnegativityChecks:
             bifrac.inequality._signed_form(np.array([1.0, -1.0]), lambda lo, hi, work: table[lo:hi, lo:], "form")
 
     def test_variance_route_raises_on_negated_kernel(self, monkeypatch):
-        rows = bifrac.inequality._cov_rows
-        monkeypatch.setattr(bifrac.inequality, "_cov_rows", lambda p, ts: lambda lo, hi, work: -rows(p, ts)(lo, hi, work))
+        rows = bifrac.kernel._cov_rows
+        monkeypatch.setattr(bifrac.kernel, "_cov_rows", lambda p, ts: lambda lo, hi, work: -rows(p, ts)(lo, hi, work))
         with pytest.raises(InequalityViolationError):
             gap_via_variance(D01, 1.0)
 
