@@ -132,10 +132,10 @@ def _params(H: float, K: float, force: bool) -> BifParams:
 
 
 # Each handler imports the library modules it runs, so a process loads only
-# those beside errors and dists: ``gap`` adds inequality and _rng, and
-# kernel on the variance route, ``cov`` adds kernel, ``psd-check`` and
-# ``sample`` add gpsim, kernel and _rng, ``bernstein-gap`` and
-# ``series-check`` add bernstein, inequality and _rng, and
+# those beside errors and dists: ``gap`` adds inequality and _rng, kernel
+# on the variance route and _guide on the mc route, ``cov`` adds kernel,
+# ``psd-check`` and ``sample`` add gpsim, kernel and _rng, ``bernstein-gap``
+# and ``series-check`` add bernstein, inequality and _rng, and
 # ``counterexample`` adds counterexample alone.  json loads only where JSON
 # is read or written, so ``cov`` and ``sample`` never load it.
 def _cmd_cov(args) -> str:

@@ -7,9 +7,9 @@ sum, expect_pair's E g(X, Y) among them, is one _pair_sum: a walk over the
 row blocks of its table's upper triangle (_row_blocks), whose evaluator
 writes its temporaries into the walk's ``work`` scratch.
 
-DiscreteDist.sampler draws through a guide table (Chen & Asau 1974;
-Devroye 1986, section III.2.4), described in its docstring, and returns the
-same stream as ``Generator.choice(xs, size, p=ps)``.
+DiscreteDist.sampler draws through the guide table of bifrac._guide, which
+returns the same stream as ``Generator.choice(xs, size, p=ps)`` and, for
+the counted mc route, the atom indices of that stream.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import contextlib
 import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -40,22 +39,11 @@ _SUM_TOL = 1e-12
 PAIR_BLOCK = 1 << 13
 UFUNC_BUFFER = 1 << 10
 
-# Largest bucket count of the guide table in DiscreteDist.sampler (8 MB of
-# float64 values and 8 MB of bucket starts), so its memory stops growing
-# with k past 2**15 atoms.
-GUIDE_BUCKETS_MAX = 1 << 20
-
-# Values per chunk of inequality.gap_mc, and the largest draw whose bucket
+# Values per chunk of inequality.gap_mc, the most cells (atom pairs) of a law
+# whose mc pairs are counted per cell, and the largest draw whose bucket
 # indices DiscreteDist.sampler keeps as a thread's scratch (512 KB); a larger
 # draw uses a temporary array.
 MC_CHUNK = 1 << 16
-
-
-def _top53_words() -> tuple[type, ...]:
-    """Bit generators whose ``random()`` is ``(w >> 11) * 2**-53`` for one
-    word w of ``random_raw`` (test_dists.py pins it), so a draw may read the
-    words.  A function, since ``import bifrac`` does not load numpy.random."""
-    return (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
 
 
 class DiscreteDist:
@@ -118,75 +106,11 @@ class DiscreteDist:
         return DiscreteDist([(c * x, p) for x, p in self.atoms])
 
     def sampler(self) -> "Sampler":
-        """Sampler whose draws equal ``rng.choice(xs, size, p=ps)`` bit for bit.
+        """Sampler whose draws equal ``rng.choice(xs, size, p=ps)`` bit for
+        bit, through the guide table of :mod:`bifrac._guide`."""
+        from ._guide import draws  # only the mc route samples a law
 
-        Like ``Generator.choice``, a draw is ``cdf.searchsorted(u, "right")``
-        for u = ``rng.random(size)``, with the CDF normalized the same way.
-        Bucket b of a guide table holds the u in [b/G, (b+1)/G); where no CDF
-        breakpoint falls inside it, every such u draws the same atom, whose
-        value the table holds.  The other buckets (at most k of the G) hold
-        NaN, which no atom is, and only their draws (hits) are resolved.  G
-        is the least power of two >= 32k, capped at GUIDE_BUCKETS_MAX; as a
-        power of two it scales u and the CDF exactly, so ``u * G`` is compared
-        with ``cdf * G`` with every comparison unchanged.
-
-        On the generators of ``_top53_words()``, u is ``(w >> 11) * 2**-53``
-        for one 64-bit word w, so the draw reads the words of
-        ``bit_generator.random_raw`` instead, a new array per draw since it
-        has no ``out=``: the bucket is ``w >> (64 - g)`` for G = 2**g, and
-        ``u * G = (w >> 11) * (G / 2**53)`` is formed only for the hits.
-        Other generators (MT19937 makes u of two 32-bit words) draw through
-        ``rng.choice`` itself, copied into ``out`` when one is given.
-
-        Bucket b holds the breakpoints start[b] <= i < start[b + 1], start[b]
-        the index of the first ``cdf > b/G``.  A hit in a bucket with one
-        breakpoint draws atom ``start[b] + (cdf[start[b]] <= u)``; only the
-        hits in buckets with more are searched in the whole CDF.
-        """
-        xs = np.array(self.values(), dtype=np.float64)
-        ps = np.array(self.probs(), dtype=np.float64)
-        cdf = ps.cumsum()
-        cdf /= cdf[-1]
-        buckets = min(1 << (32 * len(cdf) - 1).bit_length(), GUIDE_BUCKETS_MAX)
-        shift = 64 - (buckets.bit_length() - 1)
-        start = cdf.searchsorted(np.arange(buckets + 1) / buckets, side="right")
-        # start[b] <= k - 1 for b < G, since cdf[-1] == 1.0 > b/G.
-        vals = np.where(start[1:] == start[:-1], xs[start[:-1]], np.nan)
-        cdf *= buckets
-        top53 = _top53_words()
-        scratch = threading.local()  # bucket indices of this thread's draws, up to MC_CHUNK
-
-        def draw(rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
-            if type(rng.bit_generator) not in top53:
-                drawn = rng.choice(xs, size, p=ps)
-                if out is None:
-                    return drawn
-                np.copyto(out, drawn)
-                return out
-            b = getattr(scratch, "b", None)
-            if b is None or len(b) < size:
-                b = np.empty(size, np.intp)
-                if size <= MC_CHUNK:
-                    scratch.b = b
-            b = b[:size]
-            if out is None:
-                out = np.empty(size)
-            words = rng.bit_generator.random_raw(size)  # no out=: a new array
-            np.right_shift(words, shift, out=b.view(np.uint64))
-            # b < G always; mode="raise" would buffer out.
-            np.take(vals, b, out=out, mode="clip")
-            j = np.flatnonzero(np.isnan(out))
-            hit = b[j]
-            ug = (words[j] >> 11) * (buckets / 2**53)  # u * G, exactly
-            lo = start[hit]
-            at = lo + (cdf[lo] <= ug)
-            many = start[hit + 1] - lo > 1
-            if many.any():
-                at[many] = cdf.searchsorted(ug[many], side="right")
-            out[j] = xs[at]
-            return out
-
-        return Sampler(draw=draw, moment_hint=math.inf, fills=True)
+        return Sampler(draw=draws(self)[0], moment_hint=math.inf, fills=True)
 
 
 @dataclass(frozen=True)

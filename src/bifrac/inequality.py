@@ -9,7 +9,8 @@ independent routes.
                of the Gaussian functional built from the (1/2, alpha)
                kernel, the quadratic form w^T R w over the distinct |x|
                with w_a = P(X = a) - P(X = -a)
-* mc        -- paired Monte Carlo estimate for arbitrary samplers
+* mc        -- paired Monte Carlo estimate for arbitrary samplers; a law
+               of at most 256 atoms is counted per cell of atom pairs
 
 The tail and variance routes read the law only through w
 (dists._signed_weights), so mirrored atoms cancel before any sum.  Every
@@ -35,7 +36,16 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rng import substream
-from .dists import MC_CHUNK, DiscreteDist, Sampler, _pair_sum, _real_values, _signed_weights, expect_pair
+from .dists import (
+    MC_CHUNK,
+    DiscreteDist,
+    Sampler,
+    _exact_sum,
+    _pair_sum,
+    _real_values,
+    _signed_weights,
+    expect_pair,
+)
 from .errors import (
     InequalityViolationError,
     InsufficientSamplesError,
@@ -273,23 +283,8 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> GapReport:
-    """Paired Monte Carlo estimate of the gap.
-
-    Both means are taken over the same n pairs (X_k, Y_k), drawn from two
-    independent substreams of ``seed``; ``stderr`` is the sample standard
-    error of the per-pair difference.  Work is split into fixed-size
-    chunks reduced in index order, so the estimate does not depend on
-    ``workers`` (>= 1; threads, the calling one among them, are capped at
-    the chunks and at the CPUs this process may run on).  Each thread takes
-    the next chunk index when it is done with one, so one chunk per thread
-    is in flight; what grows with n is one four-float partial per chunk
-    (about 250 bytes), kept for the reduction.  Once a chunk raises, no
-    further chunk starts, and the exception of the lowest failing chunk is
-    raised, whatever the worker count.
-    Raises NonFiniteError if a sum of |X+-Y|**alpha or the variance of the
-    difference is not finite.
-    """
+def _mc_checked(alpha, n, seed, workers) -> float:
+    """alpha as a float, once gap_mc's arguments are checked, in its order."""
     alpha = _real("alpha", alpha)
     if not 0 < alpha <= 2:
         raise OutOfDomainError("0 < alpha <= 2")
@@ -297,26 +292,31 @@ def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> Gap
         raise InsufficientSamplesError(f"need n >= 2 pairs, got {n}")
     _count("seed", seed, 0)
     _count("workers", workers, 1)
-    if s.moment_hint is not None and alpha > _real("moment_hint", s.moment_hint):
-        raise InvalidInputError(
-            f"sampler only asserts finite moments up to order {s.moment_hint}, got alpha={alpha}"
-        )
+    return alpha
+
+
+def _run_chunks(n: int, workers: int, make_work, run) -> list:
+    """Runs ``run(c, size, work)`` once for each chunk c of the n pairs
+    (MC_CHUNK each, the last one ``size`` = what is left) and returns the
+    workspaces the threads made with ``make_work()``.
+
+    Threads, the calling one among them, are capped at ``workers``, at the
+    chunks and at the CPUs this process may run on.  Each takes the next
+    chunk index when it is done with one, so one chunk per thread is in
+    flight, and keeps one workspace for all of its chunks, so no chunk
+    allocates (and page-faults in) arrays that grow with its size; it is
+    made with the thread's first chunk, so a failed allocation fails that
+    chunk.  Once a chunk raises, no further chunk starts, and the exception
+    of the lowest failing chunk is raised, whatever the worker count.
+    """
     chunks = -(-n // MC_CHUNK)
     threads = min(workers, chunks, _usable_cpus())
-    done, errors = {}, {}  # by chunk index
+    errors, works = {}, []  # errors by chunk index
     todo = iter(range(chunks))
     lock = Lock()
 
-    def size(c: int) -> int:
-        return min(MC_CHUNK, n - c * MC_CHUNK)
-
     def drain() -> None:
-        # Takes the next chunk index until none is left or a chunk has
-        # failed, so each worker has one chunk in flight, and every chunk
-        # below a failed one was taken before it.  One workspace per worker
-        # for all of its chunks, so no chunk allocates (and page-faults in)
-        # arrays that grow with its size; it is made with the first chunk,
-        # so a failed allocation fails that chunk.
+        # Every chunk below a failed one was taken before it.
         nonlocal todo
         work = None
         while True:
@@ -325,8 +325,9 @@ def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> Gap
             if c is None:
                 return
             try:
-                work = work or [np.empty(size(0)) for _ in range(3)]
-                done[c] = _mc_chunk(s, alpha, seed, c, size(c), work)
+                if work is None:
+                    works.append(work := make_work())
+                run(c, min(MC_CHUNK, n - c * MC_CHUNK), work)
             except BaseException as exc:
                 with lock:
                     errors[c], todo = exc, iter(())
@@ -344,14 +345,19 @@ def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> Gap
             todo = iter(())
     if errors:
         raise errors[min(errors)]
-    partials = [done[c] for c in range(chunks)]
+    return works
+
+
+def _mc_report(alpha: float, n: int, sums) -> GapReport:
+    """The mc report of n pairs from ``sums()``: the sums of |X+Y|**alpha
+    and of |X-Y|**alpha, and the variance of their difference.  Raises
+    NonFiniteError if ``sums`` raises OverflowError or ValueError (a sum
+    past double range, or one of inf and -inf) or returns a value that is
+    not finite."""
     try:
-        sum_p, sum_m, sum_d, within = (math.fsum(column) for column in zip(*partials))
-        # Squared deviations within the chunks plus between them (Chan et al.).
-        between = math.fsum((p[2] - size(c) * sum_d / n) ** 2 / size(c) for c, p in enumerate(partials))
-    except (OverflowError, ValueError):  # past double range, or a sum of inf and -inf
+        sum_p, sum_m, var = sums()
+    except (OverflowError, ValueError):
         raise NonFiniteError("Monte Carlo sums leave double range") from None
-    var = (within + between) / (n - 1)
     if not all(map(math.isfinite, (sum_p, sum_m, var))):
         raise NonFiniteError(
             f"Monte Carlo sums are not finite: sum |X+Y|**alpha = {sum_p!r}, "
@@ -367,13 +373,101 @@ def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> Gap
     )
 
 
+def gap_mc(s: Sampler, alpha: float, n: int, seed: int, workers: int = 1) -> GapReport:
+    """Paired Monte Carlo estimate of the gap.
+
+    Both means are taken over the same n pairs (X_k, Y_k), drawn from two
+    independent substreams of ``seed``; ``stderr`` is the sample standard
+    error of the per-pair difference.  Work is split into fixed-size
+    chunks reduced in index order, so the estimate does not depend on
+    ``workers`` (>= 1; see :func:`_run_chunks`).  What grows with n is one
+    four-float partial per chunk (about 250 bytes), kept for the reduction.
+    Raises NonFiniteError if a sum of |X+-Y|**alpha or the variance of the
+    difference is not finite.
+    """
+    alpha = _mc_checked(alpha, n, seed, workers)
+    if s.moment_hint is not None and alpha > _real("moment_hint", s.moment_hint):
+        raise InvalidInputError(
+            f"sampler only asserts finite moments up to order {s.moment_hint}, got alpha={alpha}"
+        )
+    done = {}  # by chunk index
+
+    def run(c: int, size: int, work) -> None:
+        done[c] = _mc_chunk(s, alpha, seed, c, size, work)
+
+    _run_chunks(n, workers, lambda: [np.empty(min(MC_CHUNK, n)) for _ in range(3)], run)
+    partials = [done[c] for c in range(len(done))]
+
+    def sums():
+        sum_p, sum_m, sum_d, within = (math.fsum(column) for column in zip(*partials))
+        # Squared deviations within the chunks plus between them (Chan et al.).
+        sizes = (min(MC_CHUNK, n - c * MC_CHUNK) for c in range(len(partials)))
+        between = math.fsum((p[2] - m * sum_d / n) ** 2 / m for p, m in zip(partials, sizes))
+        return sum_p, sum_m, (within + between) / (n - 1)
+
+    return _mc_report(alpha, n, sums)
+
+
+def _gap_mc_counted(law: DiscreteDist, alpha: float, n: int, seed: int, workers: int) -> GapReport:
+    """:func:`gap_mc`'s report on ``law.sampler()``, arguments checked,
+    for a law of k atoms with k*k <= MC_CHUNK, whose |x_i +- x_j|**alpha
+    are finite.
+
+    Each chunk draws the atom indices of gap_mc's x and y (the same
+    substreams and guide table) and counts its pairs per cell (i, j) into
+    its thread's k*k table of int64.  The counts are exact, so they do not
+    depend on the worker count.  |x_i +- x_j|**alpha is then formed once per
+    cell that holds a pair, by libm ``pow`` (:func:`_abs_pow`), so unlike
+    gap_mc's it does not depend on numpy's SIMD kernels; the sums are the
+    dists._exact_sum of N_ij times those values, and the variance is the
+    two-pass sum of N_ij * (dv_ij - mean)**2 over n - 1.
+    """
+    from ._guide import draws
+
+    xs = np.array(law.values())
+    k = len(xs)
+    draw_index = draws(law)[1]
+
+    def run(c: int, size: int, work) -> None:
+        i, j, counts = work
+        i = draw_index(substream(seed, 0, c), size, i[:size])
+        i *= k
+        i += draw_index(substream(seed, 1, c), size, j[:size])
+        counts += np.bincount(i, minlength=k * k)
+
+    def workspace():
+        m = min(MC_CHUNK, n)
+        return np.empty(m, np.intp), np.empty(m, np.intp), np.zeros(k * k, np.int64)
+
+    counts = sum(work[2] for work in _run_chunks(n, workers, workspace, run))
+    cell = np.flatnonzero(counts)
+    weight = counts[cell].astype(np.float64)  # exact below 2**53 pairs
+    x, y = xs[cell // k], xs[cell % k]
+    ap, am = _abs_pow(x + y, alpha), _abs_pow(x - y, alpha)
+    dv = ap - am
+
+    def sums():
+        with np.errstate(over="ignore", invalid="ignore"):
+            sum_p, sum_m, sum_d = (_exact_sum([weight * f]) for f in (ap, am, dv))
+            dev = dv - sum_d / n
+            return sum_p, sum_m, _exact_sum([weight * dev * dev]) / (n - 1)
+
+    return _mc_report(alpha, n, sums)
+
+
 def _gap_mc_law(d: DiscreteDist, alpha: float, n: int, seed: int, workers: int = 1) -> GapReport:
     """:func:`gap_mc` on draws from ``d``, or from the rescaled law of
     :func:`_in_range` where pair powers of ``d`` would overflow, with both
-    moments and ``stderr`` mapped back.  A law that _in_range leaves
-    unchanged gives gap_mc's report bit for bit."""
+    moments and ``stderr`` mapped back.  A law of k atoms with k*k <=
+    MC_CHUNK is counted per cell by :func:`_gap_mc_counted`, within a few
+    ulps of gap_mc's report; a larger one gives gap_mc's report bit for bit
+    where _in_range leaves it unchanged."""
+    alpha = _mc_checked(alpha, n, seed, workers)
     law, back = _in_range(d, alpha)
-    r = gap_mc(law.sampler(), alpha, n, seed, workers=workers)
+    if len(law) ** 2 <= MC_CHUNK:
+        r = _gap_mc_counted(law, alpha, n, seed, workers)
+    else:
+        r = gap_mc(law.sampler(), alpha, n, seed, workers=workers)
     return replace(r, e_plus=back(r.e_plus), e_minus=back(r.e_minus), stderr=back(r.stderr))
 
 

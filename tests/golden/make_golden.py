@@ -114,6 +114,9 @@ def cases() -> list:
         # one, drawn by two threads.
         ("gap_nearsym_mc", ["gap", "-d", f"{g}/nearsym.json", "--alpha", "1.3", "--route",
                             "mc", "--n", "200000", "--seed", "23", "--workers", "2"]),
+        # A law of more than 256 atoms, which mc draws pair by pair.
+        ("gap_cauchy_mc", ["gap", "-d", f"{g}/cauchy.json", "--alpha", "1.3", "--route", "mc",
+                           "--n", "200000", "--seed", "29", "--workers", "2"]),
         ("counterexample", ["counterexample", "--alpha", "2.5"]),
         ("bernstein_d01", ["bernstein-gap", "-d", f"{g}/d01.json", "-g", f"{g}/g01.json"]),
         ("series", ["series-check", "--x", "1.2", "--y", "-0.7", "--t", "0.9", "--n-terms", "25"]),

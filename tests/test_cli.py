@@ -452,8 +452,9 @@ class TestImportCost:
         assert r.stdout.strip() == "False"
 
     # Every bifrac module a subcommand loads beyond bifrac, cli, errors and
-    # dists.  So `gap` never loads gpsim, bernstein or counterexample, and
-    # kernel only on the variance route, `cov`, `psd-check` and `sample`
+    # dists.  So `gap` never loads gpsim, bernstein or counterexample,
+    # kernel only on the variance route and _guide only on the mc route,
+    # `cov`, `psd-check` and `sample`
     # never load inequality, bernstein or counterexample, and `bernstein-gap`
     # and `series-check` never load kernel.
     GAP = {"inequality", "_rng"}
@@ -472,7 +473,9 @@ class TestImportCost:
             pytest.param("gap -d {dist} --alpha 1 --route tail", GAP, id="gap-tail"),
             pytest.param("gap -d {dist} --alpha 1.5 --route variance", GAP | {"kernel"}, id="gap-variance"),
             pytest.param(
-                "gap -d {dist} --alpha 1 --route mc --n 140000 --seed 1 --workers 2", GAP, id="gap-mc"
+                "gap -d {dist} --alpha 1 --route mc --n 140000 --seed 1 --workers 2",
+                GAP | {"_guide"},
+                id="gap-mc",
             ),
             pytest.param("counterexample --alpha 3", {"counterexample"}, id="counterexample"),
             pytest.param("bernstein-gap -d {dist} -g {tmp}/g.json", BERNSTEIN, id="bernstein-gap"),

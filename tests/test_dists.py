@@ -19,6 +19,7 @@ from bifrac import (
     expect_pair,
     normal_sampler,
 )
+from bifrac._guide import draws
 from bifrac._rng import substream
 from bifrac.dists import MC_CHUNK, _pair_sum
 
@@ -228,6 +229,9 @@ class TestSamplers:
         want = substream(seed, stream, chunk).choice(xs, size=size, p=ps)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
+        # The atom indices the counted mc route draws are those of the values.
+        at = draws(d)[1](substream(seed, stream, chunk), size, np.empty(size, np.intp))
+        assert np.array_equal(np.take(xs, at), got)
 
     @pytest.mark.parametrize(
         "bits", [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.MT19937]
@@ -241,6 +245,8 @@ class TestSamplers:
             got = d.sampler().draw(np.random.Generator(bits(8)), 20_000)
             out = d.sampler().draw(np.random.Generator(bits(8)), 20_000, out=np.empty(20_000))
             assert np.array_equal(got, want) and np.array_equal(out, want)
+            at = draws(d)[1](np.random.Generator(bits(8)), 20_000, np.empty(20_000, np.intp))
+            assert np.array_equal(np.take(xs, at), want)
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 1), st.integers(0, 100))

@@ -31,6 +31,7 @@ from bifrac import (
     normal_sampler,
     supnorm_bound,
 )
+from bifrac._guide import draws
 from bifrac._rng import substream
 from bifrac.inequality import MC_CHUNK, _gap_mc_law, _in_range, _mc_chunk
 
@@ -113,6 +114,38 @@ try:
 except InvalidInputError:
     print(time.perf_counter() - t)
 """
+
+
+# Minor page faults of the counted mc route over 40 chunks minus those over
+# 4, per atom count; argv[1] is the worker count.
+_COUNT_FAULT_CHECK = """
+import json, resource, sys
+import numpy as np
+from bifrac import DiscreteDist
+from bifrac.inequality import MC_CHUNK, _gap_mc_law
+workers = int(sys.argv[1])
+rng = np.random.default_rng(53)
+extra = {}
+for k in (2, 127, 256):
+    d = DiscreteDist([(x, 1 / k) for x in rng.uniform(-5.0, 5.0, k).tolist()])
+    _gap_mc_law(d, 1.3, 4 * MC_CHUNK, 1, workers)  # lazy imports and first buffers
+    faults = []
+    for chunks in (4, 40):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        _gap_mc_law(d, 1.3, chunks * MC_CHUNK, 1, workers)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    extra[k] = faults[1] - faults[0]
+print(json.dumps(extra))
+"""
+
+
+def _assert_within_4_ulps(r, ref):
+    """r is ref up to 4 ulps in each computed field; the gap is e_plus -
+    e_minus in both, so it carries their rounding."""
+    assert (r.alpha, r.route, r.n) == (ref.alpha, ref.route, ref.n)
+    for name in ("e_plus", "e_minus", "stderr"):
+        got, want = getattr(r, name), getattr(ref, name)
+        assert abs(got - want) <= 4 * math.ulp(want), (name, got, want)
 
 
 def _stream_key(rng) -> str:
@@ -635,9 +668,23 @@ class TestGapMc:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_law_in_range_is_drawn_as_given(self, workers):
-        d = DiscreteDist([(-2.0, 0.25), (0.5, 0.5), (3.0, 0.25)])
+        # 257 atoms take gap_mc's per-pair route: its report bit for bit.
+        d = DiscreteDist([(x, 1 / 257) for x in np.linspace(-3.0, 2.0, 257).tolist()])
         n = MC_CHUNK + 1000
         assert _gap_mc_law(d, 1.3, n, 5, workers) == gap_mc(d.sampler(), 1.3, n, seed=5)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_small_law_is_counted_from_the_same_pairs(self, workers):
+        # 3 atoms are counted per cell: from the pairs gap_mc draws, with
+        # each field within 4 ulps of gap_mc's report.
+        d = DiscreteDist([(-2.0, 0.25), (0.5, 0.5), (3.0, 0.25)])
+        n = MC_CHUNK + 1000
+        xs, draw_index = np.array(d.values()), draws(d)[1]
+        for c, size in enumerate((MC_CHUNK, 1000)):
+            for stream in (0, 1):
+                at = draw_index(substream(5, stream, c), size, np.empty(size, np.intp))
+                assert np.array_equal(np.take(xs, at), d.sampler().draw(substream(5, stream, c), size))
+        _assert_within_4_ulps(_gap_mc_law(d, 1.3, n, 5, workers), gap_mc(d.sampler(), 1.3, n, seed=5))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_law_past_double_range_is_drawn_rescaled(self, workers):
@@ -646,11 +693,74 @@ class TestGapMc:
         small = DiscreteDist([(-0.375, 0.5), (0.4, 0.5)])
         big = DiscreteDist([(math.ldexp(x, 1025), p) for x, p in small.atoms])
         n = MC_CHUNK + 1000
-        r, ref = _gap_mc_law(big, 1.0, n, 5, workers), gap_mc(small.sampler(), 1.0, n, seed=5)
+        r, ref = _gap_mc_law(big, 1.0, n, 5, workers), _gap_mc_law(small, 1.0, n, 5)
         assert (r.e_plus, r.e_minus, r.stderr) == tuple(
             math.ldexp(v, 1025) for v in (ref.e_plus, ref.e_minus, ref.stderr)
         )
         assert abs(r.gap - gap_exact(big, 1.0).gap) <= 4 * r.stderr
+
+    @pytest.mark.parametrize("k,counted", [(256, True), (257, False)])
+    def test_laws_up_to_mc_chunk_cells_are_counted(self, monkeypatch, k, counted):
+        # k*k <= MC_CHUNK cells are counted; a larger law goes to gap_mc.
+        from bifrac import inequality
+
+        calls = []
+
+        def per_pair(*args, **kwargs):
+            calls.append(args)
+            return gap_mc(*args, **kwargs)
+
+        monkeypatch.setattr(inequality, "gap_mc", per_pair)
+        d = DiscreteDist([(x, 1 / k) for x in np.linspace(-1.0, 4.0, k).tolist()])
+        r = _gap_mc_law(d, 0.7, 3000, 8)
+        assert len(calls) == (0 if counted else 1)
+        _assert_within_4_ulps(r, gap_mc(d.sampler(), 0.7, 3000, seed=8))
+
+    def test_counted_report_does_not_depend_on_workers(self, monkeypatch):
+        # Five chunks on up to four threads, each with its own count table.
+        from bifrac import inequality
+
+        monkeypatch.setattr(inequality, "_usable_cpus", lambda: 4)
+        d = DiscreteDist([(x, (i + 1) / 136) for i, x in enumerate(np.linspace(-2.0, 5.0, 16).tolist())])
+        reports = [_gap_mc_law(d, 1.7, 4 * MC_CHUNK + 99, 31, workers) for workers in (1, 2, 4)]
+        assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "atoms,alpha,n",
+        [
+            ([(1e303, 0.5), (1.5e303, 0.5)], 1.0, MC_CHUNK + 1000),  # the variance is not finite
+            ([(1.3e151, 1.0)], 2.0, 8 * MC_CHUNK),  # the sum of |X+Y|**2 leaves double range
+        ],
+    )
+    def test_counted_sums_past_double_range_raise(self, monkeypatch, atoms, alpha, n, workers):
+        # The laws of test_sums_past_double_range_raise and
+        # test_reduction_past_double_range_raises that _in_range leaves as
+        # they are raise NonFiniteError when counted too.  The count of the
+        # second law's one cell times |2x|**2 is past double range, so the
+        # counted sum reads inf where gap_mc's sum of chunk sums overflows.
+        from bifrac import inequality
+
+        d = DiscreteDist(atoms)
+        with pytest.raises(NonFiniteError, match="^Monte Carlo sums "):
+            gap_mc(d.sampler(), alpha, n, seed=1, workers=workers)
+        monkeypatch.setattr(inequality, "gap_mc", None)
+        with pytest.raises(NonFiniteError, match="^Monte Carlo sums are not finite: sum"):
+            _gap_mc_law(d, alpha, n, 1, workers)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counted_chunks_fault_in_no_new_memory(self, workers):
+        # Each thread keeps its index buffers and count table for all of its
+        # chunks, so 36 more chunks add no page faults that grow with the
+        # chunk count.  A fresh interpreter counts them, as in
+        # test_chunks_fault_in_no_new_memory.
+        r = subprocess.run(
+            [sys.executable, "-c", _COUNT_FAULT_CHECK, str(workers)], capture_output=True, text=True
+        )
+        assert r.returncode == 0, r.stderr
+        extra = json.loads(r.stdout)
+        assert all(v < 1000 for v in extra.values()), extra
 
     def test_law_alpha_checked_before_rescaling(self):
         with pytest.raises(OutOfDomainError):
