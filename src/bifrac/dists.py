@@ -8,8 +8,8 @@ row blocks of its table's upper triangle (_row_blocks), whose evaluator
 writes its temporaries into the walk's ``work`` scratch.
 
 DiscreteDist.sampler draws through the guide table of bifrac._guide, which
-returns the same stream as ``Generator.choice(xs, size, p=ps)`` and, for
-the counted mc route, the atom indices of that stream.
+returns the same stream as ``Generator.choice(xs, size, p=ps)``; the counted
+mc route draws the atom indices of that stream from the same table code.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, NonFiniteError, _finite, _pairs
+from .errors import InvalidInputError, NonFiniteError, _count, _finite, _pairs
 
 _SUM_TOL = 1e-12
 
@@ -41,8 +41,8 @@ UFUNC_BUFFER = 1 << 10
 
 # Values per chunk of inequality.gap_mc, the most cells (atom pairs) of a law
 # whose mc pairs are counted per cell, and the largest draw whose bucket
-# indices DiscreteDist.sampler keeps as a thread's scratch (512 KB); a larger
-# draw uses a temporary array.
+# indices a guide-table draw (bifrac._guide) keeps as a thread's scratch
+# (512 KB); a larger draw uses a temporary array.
 MC_CHUNK = 1 << 16
 
 
@@ -108,9 +108,10 @@ class DiscreteDist:
     def sampler(self) -> "Sampler":
         """Sampler whose draws equal ``rng.choice(xs, size, p=ps)`` bit for
         bit, through the guide table of :mod:`bifrac._guide`."""
-        from ._guide import draws  # only the mc route samples a law
+        from ._guide import guide_draw  # only the mc route samples a law
 
-        return Sampler(draw=draws(self)[0], moment_hint=math.inf, fills=True)
+        xs = np.array(self._xs, dtype=np.float64)
+        return Sampler(draw=guide_draw(self._ps, xs), moment_hint=math.inf, fills=True)
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,9 @@ class Sampler:
     known finite (math.inf when all moments exist).
 
     ``fills`` says that ``draw(rng, size, out=a)`` is also accepted: it
-    writes the values ``draw(rng, size)`` returns into ``a``, a C-contiguous
-    float64 array of ``size`` values, and returns ``a`` itself; each thread
+    writes the values ``draw(rng, size)`` returns into ``a``, a writeable
+    C-contiguous float64 array of ``size`` values, and returns ``a`` itself
+    (the samplers here raise InvalidInputError for any other); each thread
     may draw into its own ``a`` at the same time.  gap_mc keeps x and y in
     such buffers, one pair per worker, and raises InvalidInputError when a
     draw into one returns any other array.  Any other sampler's
@@ -141,10 +143,29 @@ class Sampler:
     fills: bool = False
 
 
+def _draw_size(size, out, dtype=np.float64) -> int:
+    """``size`` as an int >= 0 (:func:`errors._count`) that an array of
+    8-byte values may have.  Raises InvalidInputError unless it is, and
+    unless ``out`` is None or a writeable C-contiguous array of ``size``
+    values of ``dtype``, as a draw into it requires."""
+    size = _count("size", size, 0)
+    if size > np.iinfo(np.intp).max // 8:
+        raise InvalidInputError("size exceeds the largest array")
+    if out is not None and not (
+        isinstance(out, np.ndarray)
+        and out.dtype == dtype
+        and out.shape == (size,)
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise InvalidInputError(f"out must be a writeable C-contiguous {np.dtype(dtype)} array of {size} values")
+    return size
+
+
 def normal_sampler() -> Sampler:
     """Standard normal sampler (all moments finite)."""
     return Sampler(
-        draw=lambda rng, size, out=None: rng.standard_normal(size, out=out),
+        draw=lambda rng, size, out=None: rng.standard_normal(_draw_size(size, out), out=out),
         moment_hint=math.inf,
         fills=True,
     )

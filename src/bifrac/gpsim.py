@@ -180,7 +180,10 @@ def sample_paths(p: BifParams, grid: TimeGrid, m: int, seed: int) -> PathBatch:
         raise OutOfDomainError(p.failed_bound, "sampling requires (H, K) in the existence domain")
     m, seed = _count("m", m, 1), _count("seed", seed, 0)
     z, l = _factor(build_cov_matrix(p, grid))
-    paths = np.zeros((m, len(grid)), dtype=np.float64)
+    try:
+        paths = np.zeros((m, len(grid)), dtype=np.float64)
+    except ValueError:  # past numpy's largest array; short of it, MemoryError
+        raise InvalidInputError(f"m paths of {len(grid)} points exceed the largest array") from None
     for chunk, start in enumerate(range(0, m, CHUNK_ROWS)):
         rows = paths[start : start + CHUNK_ROWS, z:]
         rows[:] = substream(seed, 0, chunk).standard_normal(rows.shape) @ l.T

@@ -422,11 +422,11 @@ def _gap_mc_counted(law: DiscreteDist, alpha: float, n: int, seed: int, workers:
     dists._exact_sum of N_ij times those values, and the variance is the
     two-pass sum of N_ij * (dv_ij - mean)**2 over n - 1.
     """
-    from ._guide import draws
+    from ._guide import guide_draw
 
     xs = np.array(law.values())
     k = len(xs)
-    draw_index = draws(law)[1]
+    draw_index = guide_draw(law.probs(), np.arange(k))
 
     def run(c: int, size: int, work) -> None:
         i, j, counts = work

@@ -111,6 +111,8 @@ ESCAPES = [
     ("TimeGrid.regular_count", lambda: TimeGrid.regular(0, 1, 2.5), InvalidInputError),
     ("sample_paths_m", lambda: sample_paths(P, GRID, 2.5, 1), InvalidInputError),
     ("gap_mc_seed", lambda: gap_mc(D.sampler(), 1.0, 10, -1), InvalidInputError),
+    # More paths than any array holds (fewer that do not fit raise MemoryError).
+    ("sample_paths_m_past_any_array", lambda: sample_paths(P, GRID, 10**30, 1), InvalidInputError),
     # Values that are not numbers.
     ("BifParams", lambda: BifParams("a", 1), InvalidInputError),
     ("validate_params", lambda: validate_params("a", 1), InvalidInputError),
@@ -310,6 +312,10 @@ CLI_CASES = [
     ("rescale", "gap -d {huge} --alpha 1e308 --route exact", None, "error: moments of degree"),
     ("sample_memory", "sample --H 0.5 --K 1 --grid 1:1:2 --m 10000000000000 --seed 1 --out {out}",
      None, "error: "),
+    # More paths than any array holds: numpy refuses the shape before allocating.
+    ("sample_past_any_array",
+     "sample --H 0.5 --K 1 --grid 1:1:2 --m 100000000000000000000 --seed 1 --out {out}",
+     None, "error: m paths of 2 points exceed the largest array"),
 ]
 
 

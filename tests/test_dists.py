@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from bifrac import (
     DiscreteDist,
+    InvalidInputError,
     NonFiniteError,
     dist_from_json,
     dist_to_json,
@@ -19,7 +20,7 @@ from bifrac import (
     expect_pair,
     normal_sampler,
 )
-from bifrac._guide import draws
+from bifrac._guide import guide_draw
 from bifrac._rng import substream
 from bifrac.dists import MC_CHUNK, _pair_sum
 
@@ -230,23 +231,60 @@ class TestSamplers:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
         # The atom indices the counted mc route draws are those of the values.
-        at = draws(d)[1](substream(seed, stream, chunk), size, np.empty(size, np.intp))
+        index_draw = guide_draw(d.probs(), np.arange(len(d)))
+        at = index_draw(substream(seed, stream, chunk), size, np.empty(size, np.intp))
         assert np.array_equal(np.take(xs, at), got)
 
     @pytest.mark.parametrize(
-        "bits", [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.MT19937]
+        "bits",
+        [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.MT19937, np.random.Philox],
     )
     def test_discrete_sampler_matches_choice_on_other_generators(self, bits):
         # Raw 64-bit words where they make the uniforms, the uniforms
-        # themselves on MT19937; either way choice's stream, into out or not.
-        for d in (_sampled_law(300, "spread", 6), _clustered_law()):
+        # themselves on MT19937; either way choice's stream of the payload,
+        # into out or not.  One guide_draw serves the atom values (the
+        # sampler's) and the atom indices.  The last law's smallest atom is
+        # -DBL_MAX, so only -inf marks a bucket to resolve below it.
+        laws = (
+            _sampled_law(300, "spread", 6),
+            _clustered_law(),
+            DiscreteDist([(-1.7976931348623157e308, 0.3), (0.0, 0.2), (5.0, 0.5)]),
+        )
+        for d in laws:
             xs, ps = np.array(d.values()), np.array(d.probs())
-            want = np.random.Generator(bits(8)).choice(xs, size=20_000, p=ps)
-            got = d.sampler().draw(np.random.Generator(bits(8)), 20_000)
-            out = d.sampler().draw(np.random.Generator(bits(8)), 20_000, out=np.empty(20_000))
-            assert np.array_equal(got, want) and np.array_equal(out, want)
-            at = draws(d)[1](np.random.Generator(bits(8)), 20_000, np.empty(20_000, np.intp))
-            assert np.array_equal(np.take(xs, at), want)
+            for payload in (xs, np.arange(len(xs))):
+                want = np.random.Generator(bits(8)).choice(payload, size=20_000, p=ps)
+                draw = guide_draw(d.probs(), payload)
+                got = draw(np.random.Generator(bits(8)), 20_000)
+                out = np.empty(20_000, payload.dtype)
+                assert draw(np.random.Generator(bits(8)), 20_000, out) is out
+                assert got.dtype == want.dtype and np.array_equal(got, want) and np.array_equal(out, want)
+            assert np.array_equal(np.take(xs, got), d.sampler().draw(np.random.Generator(bits(8)), 20_000))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (-1,), (1.5,), ("3",), (None,), (10**30,), (2**60,),
+            (3, np.empty(5)), (3, np.empty(3, np.float32)), (3, np.empty(3, np.int32)),
+            (3, np.empty(6)[::2]), (3, np.empty((3, 1))), (3, [0.0] * 3),
+            (3, np.broadcast_to(np.empty(3), 3)),  # read-only
+        ],
+    )
+    @pytest.mark.parametrize("bits", [np.random.SFC64, np.random.MT19937])
+    @pytest.mark.parametrize("kind", ["law", "index", "normal"])
+    def test_draw_rejects_bad_size_or_out(self, kind, bits, args):
+        # A size that is not an int >= 0 or is past numpy's largest array
+        # of 8-byte values (2**60), or an out that is not a writeable
+        # C-contiguous float64 (for indices, intp) array of size values;
+        # float32 and int32 are the wrong dtype for each.
+        d = DiscreteDist([(-1.0, 0.25), (2.0, 0.75)])
+        draw = {
+            "law": d.sampler().draw,
+            "index": guide_draw(d.probs(), np.arange(2)),
+            "normal": normal_sampler().draw,
+        }[kind]
+        with pytest.raises(InvalidInputError):
+            draw(np.random.Generator(bits(1)), *args)
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 1), st.integers(0, 100))

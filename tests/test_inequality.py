@@ -31,7 +31,7 @@ from bifrac import (
     normal_sampler,
     supnorm_bound,
 )
-from bifrac._guide import draws
+from bifrac._guide import guide_draw
 from bifrac._rng import substream
 from bifrac.inequality import MC_CHUNK, _gap_mc_law, _in_range, _mc_chunk
 
@@ -679,7 +679,7 @@ class TestGapMc:
         # each field within 4 ulps of gap_mc's report.
         d = DiscreteDist([(-2.0, 0.25), (0.5, 0.5), (3.0, 0.25)])
         n = MC_CHUNK + 1000
-        xs, draw_index = np.array(d.values()), draws(d)[1]
+        xs, draw_index = np.array(d.values()), guide_draw(d.probs(), np.arange(len(d)))
         for c, size in enumerate((MC_CHUNK, 1000)):
             for stream in (0, 1):
                 at = draw_index(substream(5, stream, c), size, np.empty(size, np.intp))
