@@ -18,9 +18,10 @@ comparison unchanged.
 On the generators of ``_TOP53``, u is ``(w >> 11) * 2**-53`` for one 64-bit
 word w, so the draw reads the words of ``bit_generator.random_raw`` instead,
 a new array per draw since it has no ``out=``: the bucket is ``w >> (64 -
-g)`` for G = 2**g, and ``u * G = (w >> 11) * (G / 2**53)`` is formed only
-for the hits.  Other generators (MT19937 makes u of two 32-bit words) draw
-through ``rng.choice`` itself, copied into ``out`` when one is given.
+g)`` for G = 2**g, resolved in the array the draw returns, and ``u * G =
+(w >> 11) * (G / 2**53)`` is formed only for the hits.  Other generators
+(MT19937 makes u of two 32-bit words) draw through ``rng.choice`` itself,
+copied into ``out`` when one is given.
 
 Bucket b holds the breakpoints start[b] <= i < start[b + 1], start[b] the
 index of the first ``cdf > b/G``.  A hit in a bucket with one breakpoint
@@ -30,11 +31,9 @@ with more are searched in the whole CDF.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
-from .dists import MC_CHUNK, _draw_size
+from .dists import _draw_size
 
 # Largest bucket count (8 MB each of the table and the bucket starts), so
 # the table stops growing with k past 2**15 atoms.
@@ -48,10 +47,10 @@ _TOP53 = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC6
 def guide_draw(ps, payload: np.ndarray):
     """``draw(rng, size, out=None)`` on one guide table of the law of
     probabilities ``ps`` whose atoms are the ascending ``payload``, float64
-    values or intp indices.  ``out``, when given, is written and returned;
-    ``size`` and ``out`` are checked by :func:`dists._draw_size` with the
-    payload's dtype.  Each thread keeps the bucket indices of its draws of
-    up to MC_CHUNK values as scratch."""
+    values or intp indices: 8-byte values, since a draw writes its bucket
+    indices into the array it returns.  ``out``, when given, is written and
+    returned; ``rng``, ``size`` and ``out`` are checked by
+    :func:`dists._draw_size` with the payload's dtype."""
     ps = np.array(ps, dtype=np.float64)
     cdf = ps.cumsum()
     cdf /= cdf[-1]
@@ -62,10 +61,9 @@ def guide_draw(ps, payload: np.ndarray):
     below = -1 if payload.dtype.kind == "i" else -np.inf
     table = np.where(start[1:] == start[:-1], payload[start[:-1]], below)
     cdf *= buckets
-    scratch = threading.local()
 
     def draw(rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
-        size = _draw_size(size, out, payload.dtype)
+        size = _draw_size(rng, size, out, payload.dtype)
         if type(rng.bit_generator) not in _TOP53:
             drawn = rng.choice(payload, size, p=ps)
             if out is None:
@@ -74,19 +72,16 @@ def guide_draw(ps, payload: np.ndarray):
             return out
         if out is None:
             out = np.empty(size, payload.dtype)
-        b = getattr(scratch, "b", None)
-        if b is None or len(b) < size:
-            b = np.empty(size, np.intp)
-            if size <= MC_CHUNK:
-                scratch.b = b
-        b = b[:size]
         words = rng.bit_generator.random_raw(size)  # no out=: a new array
-        np.right_shift(words, shift, out=b.view(np.uint64))
-        # b < G always; mode="raise" would buffer out.
-        np.take(table, b, out=out, mode="clip")
+        np.right_shift(words, shift, out=out.view(np.uint64))
+        # take reads bucket i before it writes out[i] over it, and copies only
+        # an out that overlaps the table.  Buckets are < G, so clip changes
+        # none; mode="raise" would buffer out.
+        np.take(table, out.view(np.intp), out=out, mode="clip")
         j = np.flatnonzero(out < payload[0])
-        hit = b[j]
-        ug = (words[j] >> 11) * (buckets / 2**53)  # u * G, exactly
+        hit = words[j]
+        ug = (hit >> 11) * (buckets / 2**53)  # u * G, exactly
+        hit = (hit >> shift).view(np.intp)  # < G; intp indexes without a copy
         lo = start[hit]
         at = lo + (cdf[lo] <= ug)
         many = start[hit + 1] - lo > 1

@@ -9,7 +9,8 @@ writes its temporaries into the walk's ``work`` scratch.
 
 DiscreteDist.sampler draws through the guide table of bifrac._guide, which
 returns the same stream as ``Generator.choice(xs, size, p=ps)``; the counted
-mc route draws the atom indices of that stream from the same table code.
+mc route draws the atom indices of that stream from the same table code.  A
+draw keeps no state: it resolves its buckets in the array it returns.
 """
 
 from __future__ import annotations
@@ -38,12 +39,6 @@ _SUM_TOL = 1e-12
 # UFUNC_BUFFER values (_block_ufuncs).
 PAIR_BLOCK = 1 << 13
 UFUNC_BUFFER = 1 << 10
-
-# Values per chunk of inequality.gap_mc, the most cells (atom pairs) of a law
-# whose mc pairs are counted per cell, and the largest draw whose bucket
-# indices a guide-table draw (bifrac._guide) keeps as a thread's scratch
-# (512 KB); a larger draw uses a temporary array.
-MC_CHUNK = 1 << 16
 
 
 class DiscreteDist:
@@ -143,14 +138,22 @@ class Sampler:
     fills: bool = False
 
 
-def _draw_size(size, out, dtype=np.float64) -> int:
-    """``size`` as an int >= 0 (:func:`errors._count`) that an array of
-    8-byte values may have.  Raises InvalidInputError unless it is, and
-    unless ``out`` is None or a writeable C-contiguous array of ``size``
-    values of ``dtype``, as a draw into it requires."""
-    size = _count("size", size, 0)
-    if size > np.iinfo(np.intp).max // 8:
-        raise InvalidInputError("size exceeds the largest array")
+def _array_count(name: str, value, least: int) -> int:
+    """``value`` as an int >= ``least`` (:func:`errors._count`) that an
+    array of 8-byte values may have; raises InvalidInputError unless it is."""
+    n = _count(name, value, least)
+    if n > np.iinfo(np.intp).max // 8:
+        raise InvalidInputError(f"{name} exceeds the largest array")
+    return n
+
+
+def _draw_size(rng, size, out, dtype=np.float64) -> int:
+    """``size`` by :func:`_array_count` (>= 0).  Raises InvalidInputError
+    unless ``rng`` is a ``numpy.random.Generator`` and ``out`` is None or a
+    writeable C-contiguous array of ``size`` values of ``dtype``."""
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidInputError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
+    size = _array_count("size", size, 0)
     if out is not None and not (
         isinstance(out, np.ndarray)
         and out.dtype == dtype
@@ -164,11 +167,11 @@ def _draw_size(size, out, dtype=np.float64) -> int:
 
 def normal_sampler() -> Sampler:
     """Standard normal sampler (all moments finite)."""
-    return Sampler(
-        draw=lambda rng, size, out=None: rng.standard_normal(_draw_size(size, out), out=out),
-        moment_hint=math.inf,
-        fills=True,
-    )
+    def draw(rng, size, out=None):
+        size = _draw_size(rng, size, out)
+        return rng.standard_normal(size, out=out)
+
+    return Sampler(draw=draw, moment_hint=math.inf, fills=True)
 
 
 def expect(d: DiscreteDist, f: Callable[[float], float]) -> float:

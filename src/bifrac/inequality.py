@@ -37,7 +37,6 @@ import numpy as np
 
 from ._rng import substream
 from .dists import (
-    MC_CHUNK,
     DiscreteDist,
     Sampler,
     _exact_sum,
@@ -56,6 +55,10 @@ from .errors import (
     _finite,
     _real,
 )
+
+# Values per chunk of gap_mc, and the most cells (atom pairs) of a law whose
+# mc pairs are counted per cell.
+MC_CHUNK = 1 << 16
 
 _NONNEG_TOL = 1e-12
 

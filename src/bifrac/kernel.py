@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import _block_ufuncs, _row_blocks
+from .dists import _array_count, _block_ufuncs, _row_blocks
 from .errors import (
     InvalidInputError,
     NegativeTimeError,
     NonFiniteError,
     OutOfDomainError,
-    _count,
     _finite,
     _real,
 )
@@ -112,9 +111,10 @@ class TimeGrid:
     @classmethod
     def regular(cls, start: float, step: float, count: int) -> "TimeGrid":
         """Grid start + i*step for i = 0..count-1 (index multiplication,
-        never repeated addition)."""
+        never repeated addition).  Raises InvalidInputError for a count
+        past numpy's largest array before it builds any point."""
         start, step = _finite("start", start), _finite("step", step)
-        count = _count("count", count, 1)
+        count = _array_count("count", count, 1)
         return cls(tuple(start + i * step for i in range(count)))
 
 

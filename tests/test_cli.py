@@ -28,12 +28,12 @@ from bifrac.cli import main, render_json
 from _support import strict_json
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "bifrac", *args],
         capture_output=True,
         text=True,
-        env=env,
+        **kwargs,
     )
 
 
@@ -115,6 +115,19 @@ class TestPsdCheck:
     def test_refused_without_force(self):
         r = run_cli("psd-check", "--H", "1", "--K", "2", "--grid", "1:1:2")
         assert r.returncode == 2
+
+    def test_grid_past_any_array_exits_2(self):
+        # 10**20 points are refused before any is built.  The child's
+        # address space is capped, so a grid that grew would end in
+        # MemoryError rather than take the host's memory.
+        import resource
+
+        cap = 1 << 30
+        r = run_cli(
+            "psd-check", "--H", "0.5", "--K", "1", "--grid", "0:1:100000000000000000000",
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: count exceeds the largest array\n")
 
 
 class TestSample:

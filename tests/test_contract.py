@@ -113,6 +113,9 @@ ESCAPES = [
     ("gap_mc_seed", lambda: gap_mc(D.sampler(), 1.0, 10, -1), InvalidInputError),
     # More paths than any array holds (fewer that do not fit raise MemoryError).
     ("sample_paths_m_past_any_array", lambda: sample_paths(P, GRID, 10**30, 1), InvalidInputError),
+    # A draw whose rng is not a numpy.random.Generator.
+    ("sampler_draw_RandomState", lambda: D.sampler().draw(np.random.RandomState(1), 3), InvalidInputError),
+    ("normal_sampler_draw_RandomState", lambda: normal_sampler().draw(np.random.RandomState(1), 3), InvalidInputError),
     # Values that are not numbers.
     ("BifParams", lambda: BifParams("a", 1), InvalidInputError),
     ("validate_params", lambda: validate_params("a", 1), InvalidInputError),

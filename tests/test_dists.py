@@ -22,7 +22,8 @@ from bifrac import (
 )
 from bifrac._guide import guide_draw
 from bifrac._rng import substream
-from bifrac.dists import MC_CHUNK, _pair_sum
+from bifrac.dists import _pair_sum
+from bifrac.inequality import MC_CHUNK
 
 from _support import random_dist
 
@@ -268,6 +269,8 @@ class TestSamplers:
             (3, np.empty(5)), (3, np.empty(3, np.float32)), (3, np.empty(3, np.int32)),
             (3, np.empty(6)[::2]), (3, np.empty((3, 1))), (3, [0.0] * 3),
             (3, np.broadcast_to(np.empty(3), 3)),  # read-only
+            # An rng that is not a Generator, made from the bit generator.
+            (np.random.RandomState, 3), (lambda bits: None, 3), (lambda bits: bits, 3),
         ],
     )
     @pytest.mark.parametrize("bits", [np.random.SFC64, np.random.MT19937])
@@ -276,15 +279,19 @@ class TestSamplers:
         # A size that is not an int >= 0 or is past numpy's largest array
         # of 8-byte values (2**60), or an out that is not a writeable
         # C-contiguous float64 (for indices, intp) array of size values;
-        # float32 and int32 are the wrong dtype for each.
+        # float32 and int32 are the wrong dtype for each.  A RandomState,
+        # None or a bare bit generator is not a Generator.
         d = DiscreteDist([(-1.0, 0.25), (2.0, 0.75)])
         draw = {
             "law": d.sampler().draw,
             "index": guide_draw(d.probs(), np.arange(2)),
             "normal": normal_sampler().draw,
         }[kind]
+        rng = np.random.Generator(bits(1))
+        if callable(args[0]):
+            rng, args = args[0](bits(1)), args[1:]
         with pytest.raises(InvalidInputError):
-            draw(np.random.Generator(bits(1)), *args)
+            draw(rng, *args)
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 1), st.integers(0, 100))
@@ -342,8 +349,7 @@ class TestDrawInto:
     @pytest.mark.parametrize("bits", [np.random.SFC64, np.random.MT19937])
     @pytest.mark.parametrize("name", list(_FILLING_LAWS))
     def test_size_zero_on_a_fresh_thread(self, name, bits, into):
-        # A thread's first draw is of no values: it makes the thread's
-        # scratch, as a larger draw does, and returns an empty array.
+        # A thread's first draw is of no values: it returns an empty array.
         s = self._sampler(name)
         out = np.empty(0) if into else None
         with concurrent.futures.ThreadPoolExecutor(1) as pool:
@@ -352,26 +358,49 @@ class TestDrawInto:
         if into:
             assert got is out
 
-    def test_scratch_is_kept_only_up_to_mc_chunk(self):
-        # A thread keeps the bucket indices of draws of up to MC_CHUNK
-        # values (512 KB) and reuses them; a larger draw's are freed with it.
+    def test_a_thread_holds_nothing_after_its_draws(self):
+        # A draw resolves its buckets in the array it returns, so a fresh
+        # thread's draws leave nothing held, and a draw into out allocates
+        # its raw words (MC_CHUNK * 8 bytes) and little more; bucket indices
+        # of its own would take as much again.
         s = DiscreteDist([(-1.0, 0.25), (2.0, 0.75)]).sampler()
         rng = np.random.Generator(np.random.SFC64(5))
         out = np.empty(MC_CHUNK)
-        tracemalloc.start()
-        try:
-            s.draw(rng, MC_CHUNK, out=out)
-            s.draw(rng, 10**6)
-            held = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            s.draw(rng, MC_CHUNK, out=out)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert held <= 0.6e6
-        # The draw's raw words take MC_CHUNK * 8 bytes; new bucket indices
-        # would take as much again.
-        assert peak - current < 2 * MC_CHUNK * 8
+
+        def draws():
+            tracemalloc.start()
+            try:
+                s.draw(rng, MC_CHUNK, out=out)
+                s.draw(rng, 10**6)
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                s.draw(rng, MC_CHUNK, out=out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return held, peak
+
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            held, peak = pool.submit(draws).result()
+        assert held < 4096
+        assert peak < 1.25 * MC_CHUNK * 8
+
+    @pytest.mark.parametrize("bits", [np.random.SFC64, np.random.MT19937])
+    @pytest.mark.parametrize("payload", ["values", "indices"])
+    @pytest.mark.parametrize("name", ["two_atoms", "cauchy_700"])
+    def test_fill_into_a_prefix_of_a_workspace(self, name, payload, bits):
+        # The mc routes draw into work[:size] of a longer workspace: the
+        # draw is rng.choice's, and the rest of work is left as it was.
+        d = _FILLING_LAWS[name]
+        xs, ps = np.array(d.values()), np.array(d.probs())
+        payload = xs if payload == "values" else np.arange(len(xs))
+        draw = guide_draw(d.probs(), payload)
+        for size in (0, 777, MC_CHUNK - 1):
+            work = np.full(MC_CHUNK, -7, payload.dtype)
+            out = work[:size]
+            assert draw(np.random.Generator(bits(4)), size, out) is out
+            assert np.array_equal(out, np.random.Generator(bits(4)).choice(payload, size, p=ps))
+            assert (work[size:] == -7).all()
 
     @pytest.mark.parametrize("name", list(_FILLING_LAWS))
     def test_threads_fill_as_one_after_the_other(self, name):

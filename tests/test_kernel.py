@@ -6,6 +6,7 @@ import pytest
 
 from bifrac import (
     BifParams,
+    InvalidInputError,
     NegativeTimeError,
     NonFiniteError,
     OutOfDomainError,
@@ -319,6 +320,11 @@ class TestTimeGrid:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             TimeGrid(())
+
+    def test_regular_past_any_array_raises_before_building(self):
+        # 10**20 points: without the bound the grid grows until memory runs out.
+        with pytest.raises(InvalidInputError, match="count exceeds the largest array"):
+            TimeGrid.regular(0.0, 1.0, 10**20)
 
     def test_regular_uses_index_multiplication(self):
         g = TimeGrid.regular(0.0, 0.1, 5)
